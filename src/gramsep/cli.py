@@ -82,7 +82,7 @@ def _canonical_with_fallbacks(rho: DensityMatrix):
 
 
 def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
-                  budget: int = 12, seed: int = 0, jobs: int = 1,
+                  budget: int = 12, seed: int = 0,
                   cert_tol: float = 1e-8, with_timings: bool = False) -> dict:
     """Full separability analysis of a bipartite state; returns the report dict."""
     timings = {}
@@ -181,7 +181,7 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
             return finish(VERDICT_UNDECIDED,
                           "no completion found on the search grid; existence not excluded")
     else:
-        sol = twoxn.solve_extension_general(ep, budget=budget, seed=seed, jobs=jobs)
+        sol = twoxn.solve_extension_general(ep, budget=budget, seed=seed)
         if not sol.accepted:
             report["solver"] = _solver_dict(sol)
             timings["solver"] = time.perf_counter() - t0
@@ -251,8 +251,7 @@ def cmd_analyze(args) -> int:
     cert_tol = 5e-9 if args.strict else 1e-8
     rho = _load_state(args.state, tol)
     report = analyze_state(rho, tol=tol, budget=args.budget, seed=args.seed,
-                           jobs=args.jobs, cert_tol=cert_tol,
-                           with_timings=args.timings)
+                           cert_tol=cert_tol, with_timings=args.timings)
     report["input"] = {"path": args.state, "sha256": _digest(args.state)}
     _emit(report, args.output)
     return 0
@@ -355,13 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--tol", type=float, default=densmat.DEFAULT_TOL)
+        # no default here: a subcommand default would override a --tol given
+        # before the subcommand, so the top-level default is the only one
+        p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+                       help="validation tolerance (default 1e-9)")
 
     p = sub.add_parser("analyze", help="full separability pipeline")
     p.add_argument("state", help="state JSON file")
     common(p)
     p.add_argument("--budget", type=int, default=12, help="solver restarts")
-    p.add_argument("--jobs", type=int, default=1, help="parallel solver starts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true", help="halve all tolerances")
     p.add_argument("--timings", action="store_true",

@@ -10,10 +10,15 @@ Lamt^dag Lamt.  Separability is then the existence of a normal completion
 with S free; the adjoint of M maps the Gram vectors w_0n of the companion
 (N+q)-term decomposition onto w_1n, so a completion feeds straight into the
 certificate extraction of :mod:`gramsep.sep`.
+
+The completion has a U(q) gauge: conjugation by diag(I, U) keeps B, both
+factor constraints, normality and w_0n, and some U takes any admissible
+T = W Lamt (W an isometry) to [Lamt; 0], where the general solver pins it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,27 +305,25 @@ def solve_extension_55(ep: ExtensionProblem, accept_tol: float = 1e-8) -> Extens
                              "rank1_linear", {"s": s, "mu": mu})
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_basis(rows: int, cols: int) -> np.ndarray:
+    """Unit matrices v E_ij, v = 1, i, in the order of a complex matrix's floats."""
+    eye = np.eye(rows * cols)
+    basis = np.stack([eye, 1j * eye], axis=1).reshape(-1, rows, cols)
+    basis.flags.writeable = False
+    return basis
+
+
 def _offdiag_block_lstsq(bmat, r, t, q):
-    """S minimizing ||B T^dag + R S^dag - B^dag R - T^dag S||_F (real-linear)."""
-    n = bmat.shape[0]
+    """S minimizing ||B T^dag + R S^dag - B^dag R - T^dag S||_F (real-linear);
+    one batched product maps the real directions of S to the system columns."""
     rhs = bmat.conj().T @ r - bmat @ t.conj().T
-    cols = []
-    basis = []
-    for i in range(q):
-        for j in range(q):
-            for val in (1.0, 1.0j):
-                e = np.zeros((q, q), dtype=complex)
-                e[i, j] = val
-                basis.append(e)
-                eff = r @ e.conj().T - t.conj().T @ e
-                cols.append(np.concatenate([eff.real.ravel(), eff.imag.ravel()]))
-    sysm = np.array(cols).T
+    basis = _unit_basis(q, q)
+    eff = (r @ basis.conj().swapaxes(1, 2) - t.conj().T @ basis).reshape(2 * q * q, -1)
+    sysm = np.concatenate([eff.real, eff.imag], axis=1).T
     target = np.concatenate([rhs.real.ravel(), rhs.imag.ravel()])
     coef, *_ = np.linalg.lstsq(sysm, target, rcond=None)
-    s = np.zeros((q, q), dtype=complex)
-    for x, e in zip(coef, basis):
-        s += x * e
-    return s
+    return coef.view(complex).reshape(q, q)
 
 
 def solve_extension_56(ep: ExtensionProblem, grid: tuple[int, int, int] = (12, 12, 8),
@@ -374,102 +377,98 @@ def solve_extension_56(ep: ExtensionProblem, grid: tuple[int, int, int] = (12, 1
                              "alpha_beta_grid", {"alpha": ab[0], "beta": ab[1]})
 
 
-def _polar_isometry(z: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(z, full_matrices=False)
-    return u @ vh
+def _pinned_completion(ep: ExtensionProblem):
+    """[M, M^dag] for M = [[B, Lam Q(z)^dag], [[Lamt; 0], S]] as a residual in
+    x = (z, S) viewed as floats, Q(z) the polar factor of a free q x p z.
+    Returns (start, blocks, residual, jacobian): start(z) is x with S fitted
+    to the off-diagonal equation, blocks(x) is (R, T, S)."""
+    n, p, q = ep.n, ep.p, ep.q
+    t = np.vstack([ep.lam_tilde0, np.zeros((q - ep.p_tilde, n))]).astype(complex)
+    dz, ds = _unit_basis(q, p), _unit_basis(q, q)
 
+    def split(x):
+        return x[:2 * q * p].view(complex).reshape(q, p), x[2 * q * p:].view(complex).reshape(q, q)
 
-def _pack(z1, z2, s):
-    return np.concatenate([z1.real.ravel(), z1.imag.ravel(),
-                           z2.real.ravel(), z2.imag.ravel(),
-                           s.real.ravel(), s.imag.ravel()])
+    def r_block(z):
+        u, _, vh = np.linalg.svd(z, full_matrices=False)
+        return ep.lam @ (u @ vh).conj().T
+
+    def start(z):
+        s = _offdiag_block_lstsq(ep.b, r_block(z), t, q)
+        return np.concatenate([z.ravel(), s.ravel()]).view(float)
+
+    def blocks(x):
+        z, s = split(x)
+        return r_block(z), t, s
+
+    def residual(x):
+        m = assemble(ep.b, *blocks(x))
+        comm = m @ m.conj().T - m.conj().T @ m
+        return np.concatenate([comm.real.ravel(), comm.imag.ravel()])
+
+    def jacobian(x):
+        """Columns d vec[M, M^dag] / dx, all directions in one batched pass.
+
+        With dM = [[0, dR], [0, dS]], d[M, M^dag] = X + X^dag for
+        X = dM M^dag - M^dag dM.  The polar factor of z = U Sig W^dag moves by
+        dQ = (I - U U^dag) dz W Sig^-1 W^dag + U K W^dag, where
+        K_ij = (A_ij - conj(A_ji)) / (sig_i + sig_j) and A = U^dag dz W."""
+        z, s = split(x)
+        u, sig, wh = np.linalg.svd(z, full_matrices=False)
+        uh_dz = u.conj().T @ dz
+        a = uh_dz @ wh.conj().T
+        k = (a - a.conj().swapaxes(1, 2)) / (sig[:, None] + sig[None, :])
+        dq = (dz - u @ uh_dz) @ (wh.conj().T / sig) @ wh + u @ k @ wh
+        # dM is zero outside its last q columns D = [dR; dS]
+        d = np.zeros((len(dz) + len(ds), n + q, q), dtype=complex)
+        d[:len(dz), :n] = ep.lam @ dq.conj().swapaxes(1, 2)
+        d[len(dz):, n:] = ds
+        mh = assemble(ep.b, ep.lam @ (u @ wh).conj().T, t, s).conj().T
+        xm = d @ mh[n:]
+        xm[:, :, n:] -= mh @ d
+        dc = (xm + xm.conj().swapaxes(1, 2)).reshape(len(d), -1)
+        return np.concatenate([dc.real, dc.imag], axis=1).T
+
+    return start, blocks, residual, jacobian
 
 
 def solve_extension_general(ep: ExtensionProblem, budget: int = 12, seed: int = 0,
                             accept_tol: float = 1e-8,
-                            target: float = 1e-12, jobs: int = 1) -> ExtensionSolution:
-    """Minimize ||[M, M^dag]||_F over R = Lam V^dag, T = W Lamt, S free.
+                            target: float = 1e-12) -> ExtensionSolution:
+    """Minimize ||[M, M^dag]||_F over R = Lam V^dag, T = [Lamt; 0], S free.
 
-    Multi-start local least squares (isometries via polar retraction of
-    unconstrained complex matrices).  A vanishing minimum certifies the
-    completion; a nonzero best residual is reported without any claim of
-    nonexistence.  ``jobs`` > 1 runs the independent starts in a thread pool;
-    the result is merged by minimal residual with the start index as the
-    deterministic tie-break.
+    T is pinned by the U(q) gauge: diag(I, U) maps completions to completions
+    and takes any admissible T to [Lamt; 0].  Multi-start Levenberg-Marquardt
+    from V = [I; 0], then random perturbations, until a start reaches
+    ``target``; ``mixing["starts"]`` counts the starts that ran.  A vanishing
+    minimum certifies the completion; a nonzero one claims no nonexistence.
     """
-    n, p, pt, q = ep.n, ep.p, ep.p_tilde, ep.q
-    bmat = ep.b
+    n, p, q = ep.n, ep.p, ep.q
     if q == 0:
-        res = sep.normality_residual(bmat)
-        empty = np.zeros((0, 0), dtype=complex)
-        return ExtensionSolution(bmat.copy(), empty, np.zeros((n, 0), dtype=complex),
-                                 np.zeros((0, n), dtype=complex), res, res,
-                                 res <= accept_tol, "rank_n", {})
+        res = sep.normality_residual(ep.b)
+        return ExtensionSolution(ep.b.copy(), np.zeros((0, 0), dtype=complex),
+                                 np.zeros((n, 0), dtype=complex), np.zeros((0, n), dtype=complex),
+                                 res, res, res <= accept_tol, "rank_n", {})
 
     rng = np.random.default_rng(seed)
-    shapes = ((q, p), (q, pt), (q, q))
-    sizes = [2 * q * p, 2 * q * pt, 2 * q * q]
-
-    def unpack(x):
-        parts = np.split(x, np.cumsum(sizes)[:-1])
-        z1 = (parts[0][:q * p] + 1j * parts[0][q * p:]).reshape(shapes[0])
-        z2 = (parts[1][:q * pt] + 1j * parts[1][q * pt:]).reshape(shapes[1])
-        s = (parts[2][:q * q] + 1j * parts[2][q * q:]).reshape(shapes[2])
-        return z1, z2, s
-
-    def blocks(x):
-        z1, z2, s = unpack(x)
-        r = ep.lam @ _polar_isometry(z1).conj().T
-        t = _polar_isometry(z2) @ ep.lam_tilde0
-        return r, t, s
-
-    def fun(x):
-        r, t, s = blocks(x)
-        m = assemble(bmat, r, t, s)
-        comm = m @ m.conj().T - m.conj().T @ m
-        return np.concatenate([comm.real.ravel(), comm.imag.ravel()])
-
-    def start(noise: float):
-        z1 = np.vstack([np.eye(p), np.zeros((q - p, p))]).astype(complex)
-        z2 = np.vstack([np.eye(pt), np.zeros((q - pt, pt))]).astype(complex)
-        if noise:
-            z1 = z1 + noise * (rng.normal(size=shapes[0]) + 1j * rng.normal(size=shapes[0]))
-            z2 = z2 + noise * (rng.normal(size=shapes[1]) + 1j * rng.normal(size=shapes[1]))
-        r = ep.lam @ _polar_isometry(z1).conj().T
-        t = _polar_isometry(z2) @ ep.lam_tilde0
-        s = _offdiag_block_lstsq(bmat, r, t, q)
-        return _pack(z1, z2, s)
-
-    def descend(x0):
-        sol = scipy.optimize.least_squares(fun, x0, method="lm",
+    start, blocks, residual, jacobian = _pinned_completion(ep)
+    best_x, best_res, ran = None, np.inf, 0
+    while ran < max(budget, 1) and best_res > target:
+        z = np.eye(q, p, dtype=complex)
+        if ran:
+            z = z + rng.normal(size=(q, p)) + 1j * rng.normal(size=(q, p))
+        sol = scipy.optimize.least_squares(residual, start(z), jac=jacobian, method="lm",
                                            xtol=1e-15, ftol=1e-15, gtol=1e-15,
                                            max_nfev=4000)
-        r, t, s = blocks(sol.x)
-        res = sep.normality_residual(assemble(bmat, r, t, s))
-        return res, sol.x
-
-    starts = [start(0.0 if trial == 0 else 1.0) for trial in range(max(budget, 1))]
-    best_x, best_res = None, np.inf
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            for res, x in pool.map(descend, starts):
-                if res < best_res:
-                    best_x, best_res = x, res
-    else:
-        for x0 in starts:
-            res, x = descend(x0)
-            if res < best_res:
-                best_x, best_res = x, res
-            if best_res <= target:
-                break
+        ran += 1
+        res = sep.normality_residual(assemble(ep.b, *blocks(sol.x)))
+        if res < best_res:
+            best_x, best_res = sol.x, res
 
     r, t, s = blocks(best_x)
-    m = assemble(bmat, r, t, s)
-    eq = float(np.linalg.norm(m @ m.conj().T - m.conj().T @ m))
-    return ExtensionSolution(m, s, r, t, best_res, eq, best_res <= accept_tol,
-                             "multistart_lm", {"starts": min(budget, max(budget, 1))})
+    return ExtensionSolution(assemble(ep.b, r, t, s), s, r, t, best_res,
+                             float(np.linalg.norm(residual(best_x))),
+                             best_res <= accept_tol, "multistart_lm", {"starts": ran})
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ def test_gen_and_analyze_separable_werner(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["verdict"] == "separable_certified"
     assert rep["terms"] <= 4
+    assert rep["solver"]["starts"] == 1
     assert rep["residuals"]["certificate"] <= 1e-8
     # the embedded certificate is self-verifying
     cert = sep.certificate_from_json_dict(rep["certificate"])
@@ -93,6 +94,14 @@ def test_analyze_byte_identical(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, "analyze", path, "--seed", "7")
     _, out2, _ = run_cli(capsys, "analyze", path, "--seed", "7")
     assert out1 == out2
+
+
+def test_tol_before_or_after_subcommand(tmp_path, capsys):
+    path = write_state(tmp_path, "w.json", states.werner(0.2))
+    for argv in (("--tol", "1e-3", "analyze", path), ("analyze", path, "--tol", "1e-3")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["tolerances"]["validation"] == 1e-3
 
 
 def test_analyze_strict_flag(tmp_path, capsys):

@@ -314,12 +314,75 @@ def test_general_solver_matches_55_verdicts():
         == solve_extension_55(ep).accepted is True
 
 
-def test_general_solver_parallel_jobs_agree():
-    rho = states.werner(0.25)
-    ep = known_part(canonical_form(rho))
-    a = solve_extension_general(ep, budget=6, seed=3, jobs=1)
-    b = solve_extension_general(ep, budget=6, seed=3, jobs=3)
-    assert a.accepted and b.accepted
+def test_general_solver_runs_every_start_below_target():
+    # an entangled (5,5) state never reaches the target
+    ep = known_part(canonical_form(states.horodecki97(0.5)))
+    assert solve_extension_general(ep, budget=3, seed=0).mixing["starts"] == 3
+
+
+def _uneven_problems():
+    """Completion problems with p = p~ = q, p < q and p~ < q."""
+    rho, _ = states.random_separable(2, 3, 5, seed=1)
+    rho56, _ = fixtures.separable_56(1)
+    rho65 = densmat.validate_density(densmat.partial_transpose(rho56), 2, 4)
+    return [known_part(canonical_form(r)) for r in (rho, rho56, rho65)]
+
+
+def test_pinned_completion_jacobian_matches_central_differences():
+    shapes = set()
+    for ep in _uneven_problems():
+        shapes.add((ep.p, ep.p_tilde, ep.q))
+        _, _, residual, jacobian = twoxn._pinned_completion(ep)
+        rng = np.random.default_rng(ep.q + ep.p)
+        for _ in range(3):
+            x = rng.normal(size=2 * ep.q * (ep.p + ep.q))
+            h = 1e-6
+            fd = np.column_stack([(residual(x + h * e) - residual(x - h * e)) / (2 * h)
+                                  for e in np.eye(x.size)])
+            assert np.linalg.norm(jacobian(x) - fd) <= 1e-6 * np.linalg.norm(fd)
+    assert shapes == {(2, 2, 2), (1, 2, 2), (2, 1, 2)}
+
+
+def test_general_solver_pins_t():
+    for ep in _uneven_problems():
+        sol = solve_extension_general(ep, budget=12, seed=0)
+        assert sol.accepted
+        pinned = np.vstack([ep.lam_tilde0, np.zeros((ep.q - ep.p_tilde, ep.n))])
+        assert np.array_equal(sol.t_block, pinned)
+        rr = sol.r_block @ sol.r_block.conj().T
+        assert np.abs(rr - ep.lam @ ep.lam.conj().T).max() <= 1e-10
+
+
+def _offdiag_block_lstsq_loop(bmat, r, t, q):
+    """Reference: one column of the real system per basis matrix of S."""
+    rhs = bmat.conj().T @ r - bmat @ t.conj().T
+    cols = []
+    basis = []
+    for i in range(q):
+        for j in range(q):
+            for val in (1.0, 1.0j):
+                e = np.zeros((q, q), dtype=complex)
+                e[i, j] = val
+                basis.append(e)
+                eff = r @ e.conj().T - t.conj().T @ e
+                cols.append(np.concatenate([eff.real.ravel(), eff.imag.ravel()]))
+    sysm = np.array(cols).T
+    target = np.concatenate([rhs.real.ravel(), rhs.imag.ravel()])
+    coef, *_ = np.linalg.lstsq(sysm, target, rcond=None)
+    s = np.zeros((q, q), dtype=complex)
+    for x, e in zip(coef, basis):
+        s += x * e
+    return s
+
+
+def test_offdiag_block_lstsq_matches_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n, q = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        bmat, r, t = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                      for shape in ((n, n), (n, q), (q, n)))
+        s = twoxn._offdiag_block_lstsq(bmat, r, t, q)
+        assert np.array_equal(s, _offdiag_block_lstsq_loop(bmat, r, t, q))
 
 
 def test_canonical_transform_preserves_separability_class():
