@@ -3,10 +3,18 @@
 A product vector |e, f> with e = |0> + alpha |1> lies in the range of rho iff
 it annihilates every kernel vector, and the range criterion additionally asks
 |e*, f> to lie in the range of the partial transpose.  Stacking the kernel
-constraints gives rows linear in alpha (from ker rho) and in conj(alpha)
-(from ker rho^{T_A}); existence of a nonzero f reduces to determinant
-conditions whose polynomial structure bounds the number of solutions per
-rank pattern.
+constraints gives k rows linear in alpha (from ker rho) and k' rows linear in
+conj(alpha) (from ker rho^{T_A}); a nonzero f exists iff the stack is rank
+deficient.  By the kernel dimensions (k, k') of a 2xN state:
+
+* k + k' < N: every alpha works, a continuum (DegenerateSystem).
+* k + k' = N: one determinant D(alpha, conj alpha) = 0.  Every isolated
+  root is a root of the resultant of D and its conjugate, of degree at most
+  k^2 + k'^2, whose roots seed a Newton polish; the enumeration is complete
+  for every k', and more than k^2 + k'^2 validated hits raise
+  DegenerateSystem.
+* k = N - 1 < k + k': conj(alpha) is eliminated between determinant pairs;
+  at most 2k hits.
 """
 
 from __future__ import annotations
@@ -47,10 +55,6 @@ class ProductVectorHit:
 
     def product_vector(self) -> np.ndarray:
         return np.kron(self.e, self.f)
-
-    def conjugate_partner(self) -> np.ndarray:
-        """|e*, f>, the vector the PT range must contain."""
-        return np.kron(self.e.conj(), self.f)
 
 
 def _kernel(mat: np.ndarray, rel_tol: float = densmat.RANK_TOL) -> np.ndarray:
@@ -190,15 +194,20 @@ def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductV
 
     Dispatch on the kernel dimensions (k, k'): k + k' < N is a continuum
     (reported via DegenerateSystem); k + k' = N is a single determinant
-    condition; the overdetermined cases with k = N - 1 constraints from the
-    state kernel reduce to eliminating conj(alpha) between determinant pairs.
+    condition, enumerated through a resultant; the overdetermined cases with
+    k = N - 1 constraints from the state kernel reduce to eliminating
+    conj(alpha) between determinant pairs.
     """
     if rho.dim_a != 2:
         raise InputError(f"product-vector search needs dim_a = 2, got {rho.dim_a}")
+    return _search(rho, _row_blocks(rho), tol)
+
+
+def _search(rho, blocks, tol):
+    """Candidates for the kernel dimensions of ``blocks``, validated, deduped
+    and held to the degree bound of their case."""
     n = rho.dim_b
-    blocks = _row_blocks(rho)
-    psi0, psi1, phi0, phi1 = blocks
-    k, kp = psi0.shape[0], phi0.shape[0]
+    k, kp = blocks[0].shape[0], blocks[2].shape[0]
 
     if k + kp < n:
         raise DegenerateSystem(
@@ -227,7 +236,7 @@ def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductV
                       for u in unique)
         if not dup:
             unique.append(h)
-    cap = 2 * k if k + kp > n else (k + 1) * kp + k
+    cap = 2 * k if k + kp > n else k * k + kp * kp
     if len(unique) > cap:
         raise DegenerateSystem(
             f"{len(unique)} isolated-looking solutions exceed the degree bound {cap}; "
@@ -287,66 +296,58 @@ def _eliminate_case_candidates(blocks, k, kp):
 
 
 def _det_case_candidates(blocks, k, kp):
-    """k + k' = N: a single bivariate determinant D(alpha, conj alpha) = 0.
+    """k + k' = N: a single determinant condition D(alpha, conj alpha) = 0.
 
-    Seeds come from the conjugate-elimination polynomial (degree up to
-    (k+1) k' + k) and a disc grid; Newton refinement on the two real
-    equations picks out the self-consistent roots.
+    D(alpha, z) = sum c_ij alpha^i z^j has trimmed degrees da <= k in alpha
+    and dz <= k' in z.  At a self-consistent root z = conj(alpha) both D and
+    its conjugate E(alpha, z) = sum conj(c_ij) z^i alpha^j vanish, so alpha
+    is a root of the resultant R(alpha) = Res_z(D, E), a polynomial of degree
+    at most da^2 + dz^2 (ten for the (5,7) pattern).  R is interpolated from
+    its (da+dz)-square Sylvester determinant at da^2 + dz^2 + 1 roots of unity;
+    each of its roots seeds a real 2x2 Newton polish on D(alpha, conj alpha).
+    The seeds contain every isolated self-consistent root, for every k', so
+    the enumeration is complete; the alpha = infinity chart is added as one
+    more candidate.  R vanishing identically means D and E share a factor:
+    the self-consistent roots form a curve (DegenerateSystem).
     """
-    psi0, psi1, phi0, phi1 = blocks
-    coeffs = _det_bipoly(psi0, psi1, phi0, phi1, k, kp)
-    if np.abs(coeffs).max() < 1e-300:
+    coeffs = _det_bipoly(*blocks, k, kp)
+    scale = np.abs(coeffs).max()
+    if scale < 1e-300:
         raise DegenerateSystem("determinant vanishes identically", continuum=True)
+    keep = np.abs(coeffs) > 1e-12 * scale
+    coeffs = coeffs[:np.nonzero(keep.any(axis=1))[0].max() + 1,
+                    :np.nonzero(keep.any(axis=0))[0].max() + 1]
+    da, dz = coeffs.shape[0] - 1, coeffs.shape[1] - 1
 
-    seeds = []
-    if kp == 1:
-        w, v = coeffs[:, 0], coeffs[:, 1]
-        # conjugate equation: Wbar(z) + alpha Vbar(z) = 0 with z = conj(alpha)
-        # substitute alpha = -Wbar(z)/Vbar(z) into D(alpha, z) and clear V^k.
-        wb, vb = w.conj(), v.conj()
-        acc = np.zeros(1, dtype=complex)
-        deg = max(len(_trim(w)), len(_trim(v))) - 1
-        for i, wi in enumerate(w):
-            term = np.array([wi], dtype=complex)
-            for _ in range(i):
-                term = _poly_mul(term, -wb)
-            for _ in range(deg - i):
-                term = _poly_mul(term, vb)
-            acc = _poly_sub(acc, -term)
-        acc_v = np.zeros(1, dtype=complex)
-        for i, vi in enumerate(v):
-            term = np.array([vi], dtype=complex)
-            for _ in range(i):
-                term = _poly_mul(term, -wb)
-            for _ in range(deg - i):
-                term = _poly_mul(term, vb)
-            acc_v = _poly_sub(acc_v, -term)
-        elim = _poly_sub(acc, -np.concatenate([[0], acc_v]))  # acc + z * acc_v
-        scale = max(np.abs(w).max(), np.abs(v).max())
-        if np.abs(elim).max() <= 1e-9 * scale ** (deg + 1):
-            raise DegenerateSystem(
-                "conjugate elimination vanishes identically: the self-consistent "
-                "roots form a curve", continuum=True)
-        seeds.extend(np.conj(_poly_roots(elim)))
-
-    gx = np.linspace(-10, 10, 32)
-    seeds.extend(complex(x, y) for x in gx for y in gx)
+    # Sylvester matrix in z of P(z) = D(alpha, z) (da shifted rows) and
+    # Q(z) = E(alpha, z) (dz shifted rows), at every interpolation node
+    m = da * da + dz * dz + 1
+    xs = np.exp(2j * np.pi * np.arange(m) / m)
+    p = (xs[:, None] ** np.arange(da + 1)) @ coeffs                 # m x (dz+1)
+    q = (xs[:, None] ** np.arange(dz + 1)) @ coeffs.conj().T        # m x (da+1)
+    syl = np.zeros((m, da + dz, da + dz), dtype=complex)
+    for r in range(da):
+        syl[:, r, r:r + dz + 1] = p
+    for r in range(dz):
+        syl[:, da + r, r:r + da + 1] = q
+    res = np.fft.fft(np.linalg.det(syl)) / m
+    if np.abs(res).max() <= 1e-9 * scale ** (da + dz):
+        raise DegenerateSystem(
+            "the resultant of the determinant and its conjugate vanishes "
+            "identically: the self-consistent roots form a curve", continuum=True)
+    seeds = _poly_roots(res)
 
     def dval(al):
-        powa = al ** np.arange(coeffs.shape[0])
-        powz = np.conj(al) ** np.arange(coeffs.shape[1])
+        powa = al ** np.arange(da + 1)
+        powz = np.conj(al) ** np.arange(dz + 1)
         return powa @ coeffs @ powz
 
     def dgrad(al):
-        ia = np.arange(coeffs.shape[0])
-        iz = np.arange(coeffs.shape[1])
+        ia, iz = np.arange(da + 1), np.arange(dz + 1)
         powa, powz = al ** ia, np.conj(al) ** iz
-        da = dz = 0.0
-        if coeffs.shape[0] > 1:
-            da = (ia[1:] * powa[:-1]) @ coeffs[1:] @ powz
-        if coeffs.shape[1] > 1:
-            dz = powa @ coeffs[:, 1:] @ (iz[1:] * powz[:-1])
-        return complex(da), complex(dz)
+        ga = (ia[1:] * powa[:-1]) @ coeffs[1:] @ powz if da else 0.0
+        gz = powa @ coeffs[:, 1:] @ (iz[1:] * powz[:-1]) if dz else 0.0
+        return complex(ga), complex(gz)
 
     roots = []
     for s in seeds:
@@ -354,9 +355,9 @@ def _det_case_candidates(blocks, k, kp):
         ok = False
         for _ in range(40):
             fv = dval(al)
-            da, dz = dgrad(al)
+            ga, gz = dgrad(al)
             # real 2x2 Newton for F(x, y) = D(x+iy, x-iy)
-            j11, j12 = da + dz, 1j * (da - dz)
+            j11, j12 = ga + gz, 1j * (ga - gz)
             det = (j11.real * j12.imag - j12.real * j11.imag)
             if abs(det) < 1e-300:
                 break
@@ -367,7 +368,7 @@ def _det_case_candidates(blocks, k, kp):
             if abs(step) < 1e-13 * max(1.0, abs(al)):
                 ok = True
                 break
-        if ok and abs(dval(al)) <= 1e-9 * max(1.0, np.abs(coeffs).max() * max(1.0, abs(al)) ** (coeffs.shape[0] + coeffs.shape[1])):
+        if ok and abs(dval(al)) <= 1e-9 * max(1.0, scale * max(1.0, abs(al)) ** (k + kp + 2)):
             roots.append(al)
     out = [(a, False) for a in _dedupe(roots)]
     out.append((0j, True))
@@ -377,11 +378,14 @@ def _det_case_candidates(blocks, k, kp):
 def determinant_equation_57(rho: DensityMatrix, tol: float = 1e-7) -> list[ProductVectorHit]:
     """Roots of the rank-(5,7) determinant condition on a 2x4 state.
 
-    The kernel dimensions must be (3, 1); the determinant is cubic in alpha
-    and linear in conj(alpha), conjugate elimination bounds the candidates by
-    ten, and a continuity argument guarantees at least one self-consistent
-    root.  Returns the verified hits; an empty list signals a violation of
-    that existence claim and is treated as a failure by callers.
+    The kernel dimensions must be (3, 1): the determinant is cubic in alpha
+    and linear in conj(alpha), so its resultant with its conjugate has
+    degree at most 3^2 + 1^2 = 10, and a continuity argument guarantees at
+    least one self-consistent root.  The search is the determinant case of
+    find_product_vectors at ``tol``: more than ten validated hits raise
+    DegenerateSystem instead of being truncated.  Returns the verified hits;
+    an empty list signals a violation of the existence claim and is treated
+    as a failure by callers.
     """
     if rho.dim_a != 2 or rho.dim_b != 4:
         raise InputError("the (5,7) determinant equation lives on 2x4 states")
@@ -389,22 +393,7 @@ def determinant_equation_57(rho: DensityMatrix, tol: float = 1e-7) -> list[Produ
     k, kp = blocks[0].shape[0], blocks[2].shape[0]
     if (k, kp) != (3, 1):
         raise UnsupportedRankPattern(f"need kernel dims (3, 1), got ({k}, {kp})")
-    candidates = _det_case_candidates(blocks, k, kp)
-    hits = []
-    seen = []
-    for alpha, at_inf in candidates:
-        hit = _validate_candidate(rho, blocks, alpha, at_inf, tol)
-        if hit is None:
-            continue
-        if hit.at_infinity:
-            if any(h.at_infinity for h in hits):
-                continue
-        elif any(abs(hit.alpha - a) <= 1e-6 * max(1.0, abs(hit.alpha)) for a in seen):
-            continue
-        hits.append(hit)
-        if not hit.at_infinity:
-            seen.append(hit.alpha)
-    return _sorted_hits(hits)[:10]
+    return _search(rho, blocks, tol)
 
 
 @dataclass(frozen=True)
@@ -453,8 +442,13 @@ class EdgeVerdict:
 
 def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
     """Edge iff no product vector sits in the range with its conjugate partner
-    in the PT range.  Only meaningful for PPT states; outside the completeness
-    domain of the search the verdict is 'unknown'."""
+    in the PT range.  Only meaningful for PPT states.
+
+    find_product_vectors enumerates every isolated hit in the determinant
+    case k + k' = N (for every k', through the resultant) and in the
+    elimination case k = N - 1, so there 'edge' and 'not_edge' are exact.  A
+    continuum of hits is 'not_edge' once one witness is found, else
+    'unknown'; other kernel dimensions are 'unknown'."""
     ppt, min_eig = densmat.is_ppt(rho)
     if not ppt:
         raise InputError(f"edge test needs a PPT state (min PT eigenvalue {min_eig:.3e})")

@@ -67,9 +67,6 @@ class SeparableDecomposition:
         """K x (M*N) rows |phi_k (x) psi_k>."""
         return np.einsum("km,kn->kmn", self.phis, self.psis).reshape(self.k, -1)
 
-    def as_decomposition(self) -> gram.Decomposition:
-        return gram.Decomposition(self.dim_a, self.dim_b, self.product_terms())
-
     def density(self) -> np.ndarray:
         t = self.product_terms()
         return t.T @ t.conj()

@@ -112,10 +112,6 @@ class CanonicalForm2xN:
         bot = np.hstack([self.b.conj().T, np.eye(self.n)])
         return np.vstack([top, bot])
 
-    def canonical_state(self) -> DensityMatrix:
-        return DensityMatrix(2, self.n, self.canonical_matrix(), unnormalized=True)
-
-
 def canonical_form(rho: DensityMatrix, sing_tol: float = 1e-12,
                    rank_tol: float = densmat.RANK_TOL) -> CanonicalForm2xN:
     """Bring a 2xN state to the form [[A, B], [B^dag, I]] via I (x) C^{-1/2}."""
@@ -171,21 +167,6 @@ class ExtensionProblem:
     @property
     def q(self) -> int:
         return max(self.p, self.p_tilde)
-
-    def entry_classes(self) -> list[list[str]]:
-        """Entry classes of the (N+p~) x (N+p) known part: 'fixed' (B),
-        'constrained' (factor blocks, free up to unitary mixing), 'free' (S)."""
-        cls = []
-        for i in range(self.n + self.p_tilde):
-            row = []
-            for j in range(self.n + self.p):
-                if i < self.n:
-                    row.append("fixed" if j < self.n else "constrained")
-                else:
-                    row.append("constrained" if j < self.n else "free")
-            cls.append(row)
-        return cls
-
 
 def known_part(cf: CanonicalForm2xN) -> ExtensionProblem:
     """Completion data from a canonical form; the state must be PPT."""

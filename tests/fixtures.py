@@ -157,27 +157,39 @@ def rank57_state(seed, planted=False, iters=250):
     return dm, (e, f)
 
 
-def ppt56_state(seed, iters=600):
-    """PPT 2x4 state with rank pattern (5,6) via alternating projections;
-    generically an edge state.  Returns None when the projections miss."""
+def _ppt_alternating(seed, rank, rank_pt, iters):
+    """PPT 2x4 state with rank pattern (rank, rank_pt) via alternating
+    projections between the rank-``rank`` states and the states whose
+    partial transpose has rank ``rank_pt``.  Returns None when they miss."""
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+    g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
     x = g @ g.conj().T
     x /= np.trace(x).real
     for _ in range(iters):
-        x = psd_rank_project(x, 5)
+        x = psd_rank_project(x, rank)
         x /= np.trace(x).real
         y = densmat.partial_transpose(x, "A", dims=(2, 4))
-        x = densmat.partial_transpose(psd_rank_project(y, 6), "A", dims=(2, 4))
-    x = psd_rank_project((x + x.conj().T) / 2, 5)
+        x = densmat.partial_transpose(psd_rank_project(y, rank_pt), "A", dims=(2, 4))
+    x = psd_rank_project((x + x.conj().T) / 2, rank)
     x /= np.trace(x).real
     try:
         dm = densmat.validate_density(x, 2, 4, tol=1e-7)
     except densmat.InputError:
         return None
-    if densmat.rank_pattern(dm) != (5, 6) or not densmat.is_ppt(dm)[0]:
+    if densmat.rank_pattern(dm) != (rank, rank_pt) or not densmat.is_ppt(dm)[0]:
         return None
     return dm
+
+
+def ppt56_state(seed, iters=600):
+    """PPT 2x4 state with rank pattern (5,6); generically an edge state."""
+    return _ppt_alternating(seed, 5, 6, iters)
+
+
+def ppt66_state(seed, iters=400):
+    """PPT 2x4 state with rank pattern (6,6): kernel dims (2,2), the
+    determinant case with k' = 2."""
+    return _ppt_alternating(seed, 6, 6, iters)
 
 
 def horodecki_range_mixture(b, seed, weight=0.08):

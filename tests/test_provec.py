@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from gramsep import densmat, states
+from gramsep import densmat, provec, states
 from gramsep.provec import (
-    DegenerateSystem, NotInRange, UnsupportedRankPattern,
+    DegenerateSystem, NotInRange, ProductVectorHit, UnsupportedRankPattern,
     balanced_subtraction_vector, determinant_equation_57, edge_state_test,
     find_product_vectors, subtract_product_projector,
 )
@@ -118,6 +118,104 @@ def test_determinant_equation_57_recovers_plant():
         if recovered >= 3:
             break
     assert recovered >= 3
+
+
+def test_determinant_equation_57_raises_above_bound(monkeypatch):
+    """Eleven validated roots exceed the degree bound 3^2 + 1^2 = 10: a
+    continuum, reported as such instead of truncated to ten."""
+    dm, _ = fixtures.rank57_state(0)
+    roots = [complex(0.1 * j, 0.05) for j in range(11)]
+
+    def validate(rho, blocks, alpha, at_infinity, tol):
+        if at_infinity:
+            return None
+        e = np.array([1.0, alpha]) / np.sqrt(1 + abs(alpha) ** 2)
+        return ProductVectorHit(complex(alpha), False, e, np.eye(4)[0], 0.0, 0.0)
+
+    monkeypatch.setattr(provec, "_det_case_candidates",
+                        lambda blocks, k, kp: [(a, False) for a in roots] + [(0j, True)])
+    monkeypatch.setattr(provec, "_validate_candidate", validate)
+    with pytest.raises(DegenerateSystem):
+        determinant_equation_57(dm)
+
+
+def grid_reference_candidates(blocks, k, kp):
+    """The determinant case's former seeding, kept as a reference: a real
+    2x2 Newton on D(alpha, conj alpha) from each point of a 32x32 grid on
+    [-10, 10]^2."""
+    coeffs = provec._det_bipoly(*blocks, k, kp)
+
+    def dval(al):
+        powa = al ** np.arange(coeffs.shape[0])
+        powz = np.conj(al) ** np.arange(coeffs.shape[1])
+        return powa @ coeffs @ powz
+
+    def dgrad(al):
+        ia = np.arange(coeffs.shape[0])
+        iz = np.arange(coeffs.shape[1])
+        powa, powz = al ** ia, np.conj(al) ** iz
+        da = (ia[1:] * powa[:-1]) @ coeffs[1:] @ powz
+        dz = powa @ coeffs[:, 1:] @ (iz[1:] * powz[:-1])
+        return complex(da), complex(dz)
+
+    gx = np.linspace(-10, 10, 32)
+    roots = []
+    for al in (complex(x, y) for x in gx for y in gx):
+        ok = False
+        for _ in range(40):
+            fv = dval(al)
+            da, dz = dgrad(al)
+            j11, j12 = da + dz, 1j * (da - dz)
+            det = (j11.real * j12.imag - j12.real * j11.imag)
+            if abs(det) < 1e-300:
+                break
+            dx = (-fv.real * j12.imag + fv.imag * j12.real) / det
+            dy = (-j11.real * fv.imag + j11.imag * fv.real) / det
+            step = complex(dx, dy)
+            al = al + step
+            if abs(step) < 1e-13 * max(1.0, abs(al)):
+                ok = True
+                break
+        bound = 1e-9 * max(1.0, np.abs(coeffs).max() * max(1.0, abs(al)) ** (k + kp + 2))
+        if ok and abs(dval(al)) <= bound:
+            roots.append(al)
+    return [(a, False) for a in provec._dedupe(roots)] + [(0j, True)]
+
+
+def reference_alphas(monkeypatch, search, dm):
+    with monkeypatch.context() as m:
+        m.setattr(provec, "_det_case_candidates", grid_reference_candidates)
+        return [h.alpha for h in search(dm)]
+
+
+def test_det_case_equals_grid_reference_57(monkeypatch):
+    checked = 0
+    for seed in range(11):
+        out = fixtures.rank57_state(seed)
+        if out is None:
+            continue
+        dm, _ = out
+        ref = reference_alphas(monkeypatch, determinant_equation_57, dm)
+        got = [h.alpha for h in determinant_equation_57(dm)]
+        assert len(got) == len(ref), seed
+        assert np.allclose(got, ref, rtol=0, atol=1e-6), seed
+        checked += 1
+    assert checked >= 10
+
+
+def test_det_case_contains_grid_reference_66(monkeypatch):
+    checked = 0
+    for seed in range(5):
+        dm = fixtures.ppt66_state(seed)
+        if dm is None:
+            continue
+        ref = reference_alphas(monkeypatch, find_product_vectors, dm)
+        got = [h.alpha for h in find_product_vectors(dm)]
+        assert ref, seed
+        for a in ref:
+            assert any(a == b or abs(a - b) <= 1e-6 for b in got), (seed, a)
+        checked += 1
+    assert checked >= 5
 
 
 def test_determinant_equation_57_pattern_guard():

@@ -113,10 +113,6 @@ def test_known_part_patterns():
     cf97 = canonical_form(states.horodecki97(0.3))
     ep97 = known_part(cf97)
     assert (ep97.p, ep97.p_tilde) == (1, 1)
-    classes = ep97.entry_classes()
-    assert classes[0][:4] == ["fixed"] * 4
-    assert classes[0][4] == "constrained"
-    assert classes[4][4] == "free"
 
 
 def test_known_part_requires_ppt():
