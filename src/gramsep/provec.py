@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import densmat
 from .densmat import DensityMatrix, InputError
@@ -469,6 +468,8 @@ def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
 def _find_any_hit(rho: DensityMatrix, tol: float) -> ProductVectorHit | None:
     """One witness on a continuum of product vectors: descend the smallest
     singular value of the constraint stack from a handful of seeds."""
+    import scipy.optimize  # deferred: most of the package's import time
+
     blocks = _row_blocks(rho)
 
     def smin(alpha):

@@ -22,7 +22,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import densmat, gram, sep
 from .densmat import DensityMatrix, InputError, NotPSD
@@ -342,6 +341,8 @@ def solve_extension_56(ep: ExtensionProblem, grid: tuple[int, int, int] = (12, 1
 
     res, angles, s, r, ab, m = best
     if refine:
+        import scipy.optimize  # deferred: most of the package's import time
+
         def fun(x):
             mm, *_ = build(x[0], x[1], x[2])
             comm = mm @ mm.conj().T - mm.conj().T @ mm
@@ -430,6 +431,8 @@ def solve_extension_general(ep: ExtensionProblem, budget: int = 12, seed: int = 
         return ExtensionSolution(ep.b.copy(), np.zeros((0, 0), dtype=complex),
                                  np.zeros((n, 0), dtype=complex), np.zeros((0, n), dtype=complex),
                                  res, res, res <= accept_tol, "rank_n", {})
+
+    import scipy.optimize  # deferred: most of the package's import time
 
     rng = np.random.default_rng(seed)
     start, blocks, residual, jacobian = _pinned_completion(ep)

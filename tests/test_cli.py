@@ -1,6 +1,10 @@
 """CLI subcommands, report invariants and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -214,3 +218,13 @@ def test_gen_random_deterministic(tmp_path, capsys):
     assert out1 == out2
     rho = densmat.state_from_json_dict(json.loads(out1))
     assert rho.dim_b == 3
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the start-up time of a one-shot CLI call and
+    # only the solver paths need it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import gramsep.cli, sys; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "False"

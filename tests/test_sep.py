@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gramsep import densmat, gram, sep, states
+from gramsep import cli, densmat, gram, sep, states
 from gramsep.sep import (
     DiagonalGramCertificate, SeparableDecomposition, SingularD,
     build_ffcnm, certificate_to_decomposition, decomposition_to_certificate,
@@ -175,6 +175,65 @@ def test_joint_diagonalize_commuting_family():
     assert np.abs(v.conj().T @ v - np.eye(k)).max() < 1e-12
 
 
+def test_joint_diagonalize_repeated_joint_eigenvalues():
+    # joint eigenspaces of dimension 2 and 3, and a member proportional to I
+    rng = np.random.default_rng(21)
+    k = 6
+    u = states.random_unitary(k, rng)
+    spectra = [np.array([1, 1, 2j, 2j, 2j, -1.5]), np.array([3, 3, -1, -1, -1, 0.5j]),
+               np.full(k, 2.5 - 0.5j)]
+    mats = [(u * d) @ u.conj().T for d in spectra]
+    v, diags, off = joint_diagonalize(mats)
+    assert off < 1e-12
+    assert np.abs(v.conj().T @ v - np.eye(k)).max() < 1e-12
+    assert np.abs(np.sort_complex(diags[0]) - np.sort_complex(spectra[0])).max() < 1e-12
+
+
+def test_joint_diagonalize_retries_merged_eigenvalues():
+    # two distinct eigenvalues of M that the first fixed combination
+    # c0 H + c1 K maps to one eigenvalue: c0 Re(d) + c1 Im(d) = 0 for their
+    # difference d, so its eigenvectors mix them and only the retry succeeds
+    c0, c1 = sep._combination_weights(2)[0]
+    rng = np.random.default_rng(22)
+    k = 4
+    u = states.random_unitary(k, rng)
+    lam = np.array([0.3 + 0.2j, 0.3 + 0.2j + (-c1 + 1j * c0), 2.0, -1.0 + 1j])
+    first = c0 * lam.real + c1 * lam.imag
+    assert abs(first[0] - first[1]) < 1e-14
+    mat = (u * lam) @ u.conj().T
+    v, diags, off = joint_diagonalize([mat])
+    assert off < 1e-10
+    assert np.abs(v.conj().T @ v - np.eye(k)).max() < 1e-12
+    assert np.abs(np.sort_complex(diags[0]) - np.sort_complex(lam)).max() < 1e-10
+
+
+def test_extract_certificate_rejects_non_commuting_family():
+    rng = np.random.default_rng(23)
+    k = 4
+    a, b = (states.random_unitary(k, rng) for _ in range(2))
+    mats = {(1, 0): (a * np.arange(1, k + 1)) @ a.conj().T,
+            (2, 0): (b * np.arange(1, k + 1) * 1j) @ b.conj().T}
+    g = gram.GramSystem(3, 2, rng.normal(size=(k, 6)) + 1j * rng.normal(size=(k, 6)))
+    with pytest.raises(sep.JointDiagonalizationFailed):
+        extract_certificate(sep.FfcnmFamily(k, mats), g)
+
+
+def test_failed_extraction_stays_undecided(monkeypatch):
+    def broken(mats):
+        k = len(mats[0])
+        return np.eye(k, dtype=complex), [np.zeros(k, dtype=complex)] * len(mats), 1.0
+
+    rank_n, _ = random_separable_pair(2, 3, 3, seed=4)
+    for rho in (rank_n, states.werner(0.2)):
+        assert cli.analyze_state(rho)["verdict"] == cli.VERDICT_SEPARABLE
+        monkeypatch.setattr(sep, "joint_diagonalize", broken)
+        rep = cli.analyze_state(rho)
+        monkeypatch.undo()
+        assert rep["verdict"] == cli.VERDICT_UNDECIDED
+        assert rep["note"].startswith("extraction failed")
+        assert rep["certificate"] is None
+
+
 def test_extract_certificate_round_trip():
     rng = np.random.default_rng(13)
     for m, n, k, seed in [(2, 3, 5, 1), (2, 4, 8, 2), (3, 3, 9, 3), (3, 4, 12, 4)]:
@@ -199,15 +258,6 @@ def test_extract_certificate_already_diagonal():
     # must reproduce the same state either way
     rho = densmat.validate_density(sd.density(), 2, 2)
     assert verify_certificate(cert2, rho, tol=1e-9).passed
-
-
-def test_single_pair_relation():
-    _, sd = random_separable_pair(3, 3, 6, seed=11)
-    cert = decomposition_to_certificate(sd)
-    fam = build_ffcnm(cert)
-    g = cert.gram_system()
-    assert sep.single_pair_relation(fam.matrices[(1, 0)], g, 1, 0) < 1e-10
-    assert sep.single_pair_relation(fam.matrices[(2, 0)], g, 2, 0) < 1e-10
 
 
 def test_certificate_json_round_trip():
