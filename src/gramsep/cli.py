@@ -57,7 +57,7 @@ def _canonical_with_fallbacks(rho: DensityMatrix):
     except twoxn.SingularC:
         pass
     swap = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(rho.dim_b))
-    swapped = densmat.validate_density(swap @ rho.mat @ swap, 2, rho.dim_b,
+    swapped = densmat.validate_density(swap @ rho.mat @ swap, 2, rho.dim_b, tol=rho.tol,
                                        unnormalized=rho.unnormalized)
     try:
         cf = twoxn.canonical_form(swapped)

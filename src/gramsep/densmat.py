@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,13 +72,29 @@ def hermitian_deviation(mat: np.ndarray) -> float:
     return np.abs(mat - mat.conj().T).max() / scale
 
 
+def hermitian_eigh(mat: np.ndarray):
+    """``np.linalg.eigh`` of the Hermitian part of mat, with read-only arrays."""
+    out = np.linalg.eigh((mat + mat.conj().T) / 2)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def nonzero_eigenvalues(evals: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
+    """Mask of the eigenvalues counted in the numeric rank, |eig| > rel_tol * max|eig|;
+    the eigenvectors of the others span the numeric kernel."""
+    scale = np.abs(evals).max() if evals.size else 0.0
+    return np.abs(evals) > rel_tol * scale
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated Hermitian PSD operator on an M x N product space.
 
     ``mat`` is stored read-only.  ``unnormalized`` marks states whose trace is
     intentionally not one (e.g. after the canonical 2xN transform, which
-    rescales the trace); validation then skips the trace check.
+    rescales the trace); validation then skips the trace check.  The cached
+    ``spectrum`` and ``pt_spectrum`` are shared by every reader, so read-only.
     """
 
     dim_a: int
@@ -100,6 +117,16 @@ class DensityMatrix:
         n = self.dim_b
         return self.mat[i * n:(i + 1) * n, m * n:(m + 1) * n]
 
+    @cached_property
+    def spectrum(self):
+        """(eigenvalues ascending, eigenvectors as columns) of rho."""
+        return hermitian_eigh(self.mat)
+
+    @cached_property
+    def pt_spectrum(self):
+        """(eigenvalues ascending, eigenvectors as columns) of rho^{T_A}."""
+        return hermitian_eigh(partial_transpose(self, "A"))
+
 
 def validate_density(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL,
                      unnormalized: bool = False) -> DensityMatrix:
@@ -117,15 +144,14 @@ def validate_density(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL,
     dev = hermitian_deviation(m)
     if dev > tol:
         raise NotHermitian(dev)
-    h = (m + m.conj().T) / 2
-    evals = np.linalg.eigvalsh(h)
-    top = max(evals[-1], 0.0)
-    if evals[0] < -tol * max(top, 1e-300):
+    rho = DensityMatrix(dim_a, dim_b, m, tol=tol, unnormalized=unnormalized)
+    evals = rho.spectrum.eigenvalues
+    if evals[0] < -tol * max(evals[-1], 1e-300):
         raise NotPSD(evals[0])
     tr = np.trace(m).real
     if not unnormalized and abs(tr - 1.0) > tol * max(1.0, abs(tr)):
         raise TraceDeviation(np.trace(m))
-    return DensityMatrix(dim_a, dim_b, m, tol=tol, unnormalized=unnormalized)
+    return rho
 
 
 def partial_transpose(rho, subsystem: str = "A", dims=None) -> np.ndarray:
@@ -164,32 +190,28 @@ class RankReport:
 
 
 def numeric_rank(h, rel_tol: float = RANK_TOL) -> RankReport:
-    """Rank of a Hermitian matrix: the number of its nonvanishing eigenvalues,
-    i.e. those with |eig| above rel_tol * max|eig|."""
+    """Rank of a raw Hermitian matrix (a DensityMatrix has rank_pattern)."""
     m = as_complex_matrix(h)
     dev = hermitian_deviation(m)
     if dev > 1e-8:
         raise NotHermitian(dev)
     evals = np.linalg.eigvalsh((m + m.conj().T) / 2)[::-1]
     scale = np.abs(evals).max() if evals.size else 0.0
-    threshold = rel_tol * scale
-    rank = int(np.sum(np.abs(evals) > threshold))
-    return RankReport(rank, evals, threshold)
+    rank = int(np.sum(nonzero_eigenvalues(evals, rel_tol)))
+    return RankReport(rank, evals, rel_tol * scale)
 
 
 def is_ppt(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """PPT test: (min eigenvalue of rho^{T_A} >= -tol * max eigenvalue, min eigenvalue)."""
-    pt = partial_transpose(rho, "A")
-    evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2)
+    evals = rho.pt_spectrum.eigenvalues
     min_eig = float(evals[0])
-    max_eig = float(max(evals[-1], 0.0))
-    return min_eig >= -tol * max(max_eig, 1e-300), min_eig
+    return min_eig >= -tol * max(evals[-1], 1e-300), min_eig
 
 
 def rank_pattern(rho: DensityMatrix, rel_tol: float = RANK_TOL) -> tuple[int, int]:
     """(rank rho, rank rho^{T_A})."""
-    r = numeric_rank(rho.mat, rel_tol).rank
-    rt = numeric_rank(partial_transpose(rho, "A"), rel_tol).rank
+    r, rt = (int(np.sum(nonzero_eigenvalues(evals, rel_tol)))
+             for evals, _ in (rho.spectrum, rho.pt_spectrum))
     return r, rt
 
 

@@ -100,10 +100,8 @@ def spectral_decomposition(rho: DensityMatrix, rel_tol: float = densmat.RANK_TOL
     Eigenvalues descending; each scaled eigenvector has its largest component
     rotated to be real positive; exact ties broken lexicographically.
     """
-    h = (rho.mat + rho.mat.conj().T) / 2
-    evals, evecs = np.linalg.eigh(h)
-    scale = max(evals.max(), 0.0)
-    keep = evals > rel_tol * max(scale, 1e-300)
+    evals, evecs = rho.spectrum
+    keep = densmat.nonzero_eigenvalues(evals, rel_tol) & (evals > 0)
     lam = evals[keep][::-1]
     vecs = evecs[:, keep][:, ::-1]
     terms = (vecs * np.sqrt(lam)).T
@@ -173,11 +171,8 @@ def connect_gram(g1: GramSystem, g2: GramSystem, tol: float = 1e-8) -> ConnectRe
     mismatch = float(np.abs(gm1 - gm2).max())
     if mismatch > tol * max(1.0, float(np.abs(gm1).max())):
         raise GramMismatch(f"Gram matrices differ by {mismatch:.3e}")
-    g = (gm1 + gm2) / 2
-    g = (g + g.conj().T) / 2
-    evals, q = np.linalg.eigh(g)
-    top = max(evals.max(), 0.0)
-    keep = evals > 1e-12 * max(top, 1e-300)
+    evals, q = densmat.hermitian_eigh((gm1 + gm2) / 2)
+    keep = evals > 1e-12 * max(evals[-1], 1e-300)
     lam, qk = evals[keep], q[:, keep]
     x1 = w1 @ qk / np.sqrt(lam)
     x2 = w2 @ qk / np.sqrt(lam)

@@ -56,23 +56,13 @@ class ProductVectorHit:
         return np.kron(self.e, self.f)
 
 
-def _kernel(mat: np.ndarray, rel_tol: float = densmat.RANK_TOL) -> np.ndarray:
-    """Orthonormal kernel vectors (columns) of a Hermitian matrix."""
-    h = (mat + mat.conj().T) / 2
-    evals, evecs = np.linalg.eigh(h)
-    scale = max(abs(evals).max(), 1e-300)
-    return evecs[:, np.abs(evals) <= rel_tol * scale]
-
-
 def _row_blocks(rho: DensityMatrix):
     """Constraint rows: (psi0, psi1) with row = psi0 + alpha psi1 from ker rho,
     and (phi0, phi1) with row = phi0 + conj(alpha) phi1 from ker rho^{T_A}."""
     n = rho.dim_b
-    ker = _kernel(rho.mat).conj().T           # k x 2N
-    ker_pt = _kernel(densmat.partial_transpose(rho, "A")).conj().T
-    psi0, psi1 = ker[:, :n], ker[:, n:]
-    phi0, phi1 = ker_pt[:, :n], ker_pt[:, n:]
-    return psi0, psi1, phi0, phi1
+    ker, ker_pt = (evecs[:, ~densmat.nonzero_eigenvalues(evals)].conj().T  # k x 2N, k' x 2N
+                   for evals, evecs in (rho.spectrum, rho.pt_spectrum))
+    return ker[:, :n], ker[:, n:], ker_pt[:, :n], ker_pt[:, n:]
 
 
 def _stack_rows(blocks, alpha):
@@ -411,10 +401,8 @@ def subtract_product_projector(rho: DensityMatrix, e: np.ndarray, f: np.ndarray,
     """
     v = np.kron(np.asarray(e, dtype=complex), np.asarray(f, dtype=complex))
     v = v / np.linalg.norm(v)
-    h = (rho.mat + rho.mat.conj().T) / 2
-    evals, evecs = np.linalg.eigh(h)
-    scale = max(evals.max(), 1e-300)
-    keep = evals > densmat.RANK_TOL * scale
+    evals, evecs = rho.spectrum
+    keep = densmat.nonzero_eigenvalues(evals) & (evals > 0)
     out_of_range = np.linalg.norm(v - evecs[:, keep] @ (evecs[:, keep].conj().T @ v))
     if out_of_range > range_tol:
         raise NotInRange(f"|e,f> has component {out_of_range:.3e} outside range(rho)")
@@ -427,9 +415,8 @@ def subtract_product_projector(rho: DensityMatrix, e: np.ndarray, f: np.ndarray,
         residue = np.zeros_like(residue)
     rho_prime = densmat.validate_density(residue, rho.dim_a, rho.dim_b,
                                          tol=1e-8, unnormalized=True)
-    before = int(np.sum(keep))
-    after = densmat.numeric_rank(residue, densmat.RANK_TOL).rank
-    return SubtractionResult(rho_prime, weight, before - after)
+    after = densmat.nonzero_eigenvalues(rho_prime.spectrum.eigenvalues)
+    return SubtractionResult(rho_prime, weight, int(np.sum(keep)) - int(np.sum(after)))
 
 
 @dataclass(frozen=True)

@@ -106,10 +106,6 @@ class CanonicalForm2xN:
     def rank(self) -> int:
         return self.n + self.p
 
-    def canonical_matrix(self) -> np.ndarray:
-        top = np.hstack([self.a, self.b])
-        bot = np.hstack([self.b.conj().T, np.eye(self.n)])
-        return np.vstack([top, bot])
 
 def canonical_form(rho: DensityMatrix, sing_tol: float = 1e-12,
                    rank_tol: float = densmat.RANK_TOL) -> CanonicalForm2xN:
@@ -523,6 +519,6 @@ def deflate_b_support(rho: DensityMatrix, rel_tol: float = densmat.RANK_TOL
         return rho, np.eye(n, dtype=complex)
     iso = np.kron(np.eye(2), y)
     reduced = iso.conj().T @ rho.mat @ iso
-    red = densmat.validate_density(reduced, 2, y.shape[1],
+    red = densmat.validate_density(reduced, 2, y.shape[1], tol=rho.tol,
                                    unnormalized=rho.unnormalized)
     return red, y

@@ -108,6 +108,31 @@ def test_tol_before_or_after_subcommand(tmp_path, capsys):
         assert json.loads(out)["tolerances"]["validation"] == 1e-3
 
 
+def test_tol_covers_hermiticity_of_analyze_and_provec(tmp_path, capsys):
+    # a relative Hermitian deviation of 1e-7, accepted at --tol 1e-6
+    mat = states.werner(0.2).mat.copy()
+    mat[0, 1] += 3e-8
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "data": densmat.matrix_to_lists(mat)}))
+    code, out, _ = run_cli(capsys, "--tol", "1e-6", "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["verdict"] in ("separable_certified", "ppt_undecided")
+    code, out, _ = run_cli(capsys, "--tol", "1e-6", "provec", str(path))
+    assert code == 0
+    assert json.loads(out)["case"] == "(4,4)"
+
+
+def test_canonical_fallbacks_revalidate_at_state_tol():
+    # the A-swap (2x2) and the B-support deflation (2x3, after the swap)
+    # rebuild states that carry the input's Hermitian deviation of 1e-7
+    for n, diag in ((2, [0.25, 0.25, 0.5, 0.0]), (3, [0.2, 0.3, 0.0, 0.5, 0.0, 0.0])):
+        mat = np.diag(diag).astype(complex)
+        mat[0, 1] += 5e-8
+        rho = densmat.validate_density(mat, 2, n, tol=1e-6)
+        rep = cli.analyze_state(rho, tol=1e-6)
+        assert rep["verdict"] in ("separable_certified", "ppt_undecided")
+
+
 def test_analyze_strict_flag(tmp_path, capsys):
     path = write_state(tmp_path, "w.json", states.werner(0.1))
     code, out, _ = run_cli(capsys, "analyze", path, "--strict")

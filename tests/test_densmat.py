@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gramsep import densmat, states
+from gramsep import cli, densmat, provec, states
 from gramsep.densmat import (
     InputError, NotHermitian, NotPSD, SizeMismatch, TraceDeviation,
     is_ppt, numeric_rank, partial_transpose, product_index, split_index,
@@ -151,6 +151,45 @@ def test_eigensolver_contract():
         h = (g + g.conj().T) / 2
         evals, evecs = np.linalg.eigh(h)
         assert np.linalg.norm(h @ evecs - evecs * evals) <= 1e-10 * np.linalg.norm(h)
+
+
+def count_full_eigensolves(monkeypatch, dim):
+    """Record every np.linalg.eigh/eigvalsh call on a dim x dim matrix."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _orig=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.shape(a)[-1] == dim:
+                calls.append(_name)
+            return _orig(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_one_eigensolve_per_spectrum(monkeypatch):
+    """Validation, rank pattern, PPT and the kernels read the two cached
+    spectra: one eigensolve of rho and one of rho^{T_A}."""
+    psi = np.zeros(8)
+    psi[[0, 5]] = 1 / np.sqrt(2)
+    npt = 0.5 * np.outer(psi, psi) + 0.5 * np.eye(8) / 8
+    calls = count_full_eigensolves(monkeypatch, 8)
+    report = cli.analyze_state(validate_density(npt, 2, 4))
+    assert report["verdict"] == "entangled_npt"
+    assert len(calls) == 2
+
+    horodecki = states.horodecki97(0.5).mat
+    calls.clear()
+    assert provec.find_product_vectors(validate_density(horodecki, 2, 4)) == []
+    assert len(calls) == 2
+
+
+def test_cached_spectra_are_read_only():
+    rho = states.werner(0.3)
+    with pytest.raises(ValueError):
+        rho.spectrum[0][0] = 1.0
+    with pytest.raises(ValueError):
+        rho.pt_spectrum[1][0, 0] = 1.0
+    evals, evecs = rho.spectrum
+    assert np.allclose(rho.mat @ evecs, evecs * evals, atol=1e-14)
 
 
 def test_state_json_round_trip():
