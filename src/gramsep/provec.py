@@ -13,12 +13,15 @@ deficient.  By the kernel dimensions (k, k') of a 2xN state:
   k^2 + k'^2, whose roots seed a Newton polish; the enumeration is complete
   for every k', and more than k^2 + k'^2 validated hits raise
   DegenerateSystem.
-* k = N - 1 < k + k': conj(alpha) is eliminated between determinant pairs;
-  at most 2k hits.
+* k = N - 1 < k + k': the same enumeration on the square subsystem of the
+  k rows and one fixed real combination of the k' rows, whose determinant
+  vanishes at every hit of the full stack (a second combination joins the
+  polish); validation against the full stack keeps the hits, at most 2k.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,105 +73,73 @@ def _stack_rows(blocks, alpha):
     return np.vstack([psi0 + alpha * psi1, phi0 + np.conj(alpha) * phi1])
 
 
-def _stack_rows_inf(blocks):
+def _validate_candidates(blocks, candidates, tol):
+    """Hits among the (alpha, at_infinity) candidates.  One batched SVD of the
+    constraint stacks gives each candidate's f, the direction the stack
+    annihilates best; a candidate is a hit when every kernel row of the
+    stack annihilates it to ``tol``.  An empty stack admits every f."""
     psi0, psi1, phi0, phi1 = blocks
-    return np.vstack([psi1, phi1])
+    e = np.array([(0.0, 1.0) if at_inf else (1.0, alpha) for alpha, at_inf in candidates],
+                 dtype=complex)
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    e0, e1 = e[:, 0, None, None], e[:, 1, None, None]
+    rows = e0 * psi0 + e1 * psi1                            # m x k x N
+    rows_pt = e0.conj() * phi0 + e1.conj() * phi1           # m x k' x N
+    f = np.linalg.svd(np.concatenate([rows, rows_pt], axis=1))[2][:, -1].conj()
+    res = np.abs(rows @ f[:, :, None])[..., 0].max(axis=1, initial=0.0)
+    res_pt = np.abs(rows_pt @ f[:, :, None])[..., 0].max(axis=1, initial=0.0)
+    return [ProductVectorHit(complex(np.inf) if at_inf else complex(alpha), at_inf,
+                             e[i], f[i], float(res[i]), float(res_pt[i]))
+            for i, (alpha, at_inf) in enumerate(candidates)
+            if max(res[i], res_pt[i]) <= tol]
 
 
-def _validate_candidate(rho, blocks, alpha, at_infinity, tol):
-    rows = _stack_rows_inf(blocks) if at_infinity else _stack_rows(blocks, alpha)
-    if rows.shape[0] == 0:
-        raise DegenerateSystem("no kernel constraints at all", continuum=True)
-    _, svals, vh = np.linalg.svd(rows)
-    f = vh[-1].conj()
-    f = f / np.linalg.norm(f)
-    e = np.array([0.0, 1.0], dtype=complex) if at_infinity else \
-        np.array([1.0, alpha], dtype=complex) / np.sqrt(1 + abs(alpha) ** 2)
-    psi0, psi1, phi0, phi1 = blocks
-    res_range = 0.0
-    if psi0.shape[0]:
-        res_range = float(np.abs((psi0 * e[0] + psi1 * e[1]) @ f).max())
-    res_pt = 0.0
-    if phi0.shape[0]:
-        res_pt = float(np.abs((phi0 * np.conj(e[0]) + phi1 * np.conj(e[1])) @ f).max())
-    hit = ProductVectorHit(complex(alpha) if not at_infinity else complex(np.inf),
-                           at_infinity, e, f, res_range, res_pt)
-    return hit if max(res_range, res_pt) <= tol else None
+# Shift of _pencil_eigenvalues: a generic point, away from the points where
+# structured states put product vectors (alpha = 0, roots of unity, infinity)
+_PENCIL_SHIFT = 0.5377 + 0.3119j
 
 
-def _trim(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Strip trailing (high-order) coefficients that are numerically zero."""
-    c = np.asarray(coeffs, dtype=complex)
-    scale = np.abs(c).max()
-    if scale == 0.0:
-        return c[:1]
-    keep = np.abs(c) > rel_tol * scale
-    last = np.max(np.nonzero(keep)) if keep.any() else 0
-    return c[:last + 1]
+def _pencil_eigenvalues(coeffs: np.ndarray, degrees) -> np.ndarray:
+    """Finite roots alpha of det S(alpha), S(alpha) = sum_i alpha^i C_i with
+    ``coeffs`` = (C_0, ..., C_d) and row r of degree degrees[r].
+
+    The pencil A - alpha B acts on the powers alpha^j w_r (j < degrees[r])
+    of a left null vector w: n rows state S(alpha)^T w = 0, the others
+    alpha (alpha^j w_r) = alpha^(j+1) w_r.  Its size sum(degrees) is the
+    degree of det S, so it has no infinite eigenvalues unless det S loses
+    degree.  The eigenvalues mu of (A - s B)^{-1} B at the fixed shift s give
+    alpha = s + 1/mu; those beyond |alpha| = 1e8 (mu ~ 0, numerically the
+    alpha = infinity chart) are dropped."""
+    degrees = np.asarray(degrees, dtype=int)
+    n, size = len(degrees), int(degrees.sum())
+    top = np.cumsum(degrees) - 1                  # index of alpha^(degrees[r] - 1) w_r
+    a = np.zeros((size, size), dtype=complex)
+    b = np.zeros((size, size), dtype=complex)
+    for r, deg in enumerate(degrees):
+        a[:n, top[r] - deg + 1:top[r] + 1] = -coeffs[:deg, r].T
+        b[:n, top[r]] = coeffs[deg, r]
+    lower = np.delete(np.arange(size), top)
+    b[np.arange(n, size), lower] = 1
+    a[np.arange(n, size), lower + 1] = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = _PENCIL_SHIFT + 1 / np.linalg.eigvals(np.linalg.solve(a - _PENCIL_SHIFT * b, b))
+    return alpha[np.abs(alpha) < 1e8]
 
 
-def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    c = _trim(coeffs)
-    if c.size <= 1:
-        return np.array([], dtype=complex)
-    return np.roots(c[::-1])
-
-
-def _poly_eval(coeffs: np.ndarray, x: complex) -> complex:
-    return complex(np.polyval(np.asarray(coeffs)[::-1], x))
-
-
-def _poly_derivative(coeffs: np.ndarray) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=complex)
-    if c.size <= 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, c.size)
-
-
-def _newton_polish(coeffs, x, steps=2):
-    d = _poly_derivative(coeffs)
-    for _ in range(steps):
-        fp = _poly_eval(d, x)
-        if abs(fp) < 1e-300:
-            break
-        x = x - _poly_eval(coeffs, x) / fp
-    return x
-
-
-def _det_bipoly(rows_a0, rows_a1, rows_b0, rows_b1, deg_a, deg_b, radius=1.0):
-    """Coefficients c[i, j] of det([A0 + x A1; B0 + y B1]) = sum c_ij x^i y^j,
-    recovered by evaluation on scaled roots-of-unity grids and inverse DFT."""
+def _det_bipoly(rows_a0, rows_a1, rows_b0, rows_b1, deg_a, deg_b):
+    """Coefficients c[..., i, j] of det([A0 + x A1; B0 + y B1]) = sum c_ij x^i y^j,
+    recovered by evaluation on roots-of-unity grids and inverse DFT.  Leading
+    axes of B0 and B1 (stacked alternatives for the B rows) carry over to c."""
     na, nb = deg_a + 1, deg_b + 1
-    xs = radius * np.exp(2j * np.pi * np.arange(na) / na)
-    ys = radius * np.exp(2j * np.pi * np.arange(nb) / nb)
-    vals = np.empty((na, nb), dtype=complex)
-    for ix, x in enumerate(xs):
-        top = rows_a0 + x * rows_a1
-        for iy, y in enumerate(ys):
-            vals[ix, iy] = np.linalg.det(np.vstack([top, rows_b0 + y * rows_b1]))
-    coeffs = np.fft.fft(np.fft.fft(vals, axis=0), axis=1) / (na * nb)
-    coeffs /= radius ** np.add.outer(np.arange(na), np.arange(nb))
-    return coeffs
-
-
-def _poly_mul(a, b):
-    return np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def _poly_sub(a, b):
-    size = max(len(a), len(b))
-    out = np.zeros(size, dtype=complex)
-    out[:len(a)] += a
-    out[:len(b)] -= b
-    return out
-
-
-def _dedupe(values, tol=1e-6):
-    out = []
-    for v in values:
-        if all(abs(v - u) > tol * max(1.0, abs(v)) for u in out):
-            out.append(v)
-    return out
+    xs = np.exp(2j * np.pi * np.arange(na) / na)
+    ys = np.exp(2j * np.pi * np.arange(nb) / nb)
+    top = rows_a0 + xs[:, None, None] * rows_a1                            # na x ka x N
+    bottom = rows_b0[..., None, :, :] + ys[:, None, None] * rows_b1[..., None, :, :]
+    grid = bottom.shape[:-3] + (na, nb)                                    # ... x na x nb
+    vals = np.linalg.det(np.concatenate(
+        [np.broadcast_to(top[:, None], grid + top.shape[1:]),
+         np.broadcast_to(bottom[..., None, :, :, :], grid + bottom.shape[-2:])], axis=-2))
+    return np.fft.fft2(vals) / (na * nb)
 
 
 def _sorted_hits(hits):
@@ -182,21 +153,33 @@ def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductV
     """Product vectors |e, f> in the range of rho with |e*, f> in the PT range.
 
     Dispatch on the kernel dimensions (k, k'): k + k' < N is a continuum
-    (reported via DegenerateSystem); k + k' = N is a single determinant
-    condition, enumerated through a resultant; the overdetermined cases with
-    k = N - 1 constraints from the state kernel reduce to eliminating
-    conj(alpha) between determinant pairs.
+    (reported via DegenerateSystem).  k + k' = N is a single determinant
+    condition, enumerated through a resultant.  In the overdetermined case
+    k = N - 1 the same enumeration runs on the k state-kernel rows plus a
+    fixed real combination of the k' PT rows, and validation against all
+    k + k' rows keeps the hits.
     """
     if rho.dim_a != 2:
         raise InputError(f"product-vector search needs dim_a = 2, got {rho.dim_a}")
-    return _search(rho, _row_blocks(rho), tol)
+    return _search(_row_blocks(rho), tol)
 
 
-def _search(rho, blocks, tol):
+_PT_ROW_WEIGHTS_SEED = 1997
+
+
+@functools.lru_cache(maxsize=None)
+def _pt_row_weights(kp: int) -> np.ndarray:
+    """The two fixed real weight rows (2 x 1 x k'), each folding the PT rows into one."""
+    w = np.random.default_rng(_PT_ROW_WEIGHTS_SEED).normal(size=(2, 1, kp))
+    w.setflags(write=False)
+    return w
+
+
+def _search(blocks, tol):
     """Candidates for the kernel dimensions of ``blocks``, validated, deduped
     and held to the degree bound of their case."""
-    n = rho.dim_b
-    k, kp = blocks[0].shape[0], blocks[2].shape[0]
+    psi0, psi1, phi0, phi1 = blocks
+    (k, n), kp = psi0.shape, phi0.shape[0]
 
     if k + kp < n:
         raise DegenerateSystem(
@@ -204,20 +187,19 @@ def _search(rho, blocks, tol):
 
     if k + kp == n:
         candidates = _det_case_candidates(blocks, k, kp)
-    elif kp >= n - k and n - k == 1:
-        candidates = _eliminate_case_candidates(blocks, k, kp)
+    elif k == n - 1:
+        # a real combination of PT rows is itself a row of ker rho^{T_A}, so
+        # the square system it completes is singular at every hit of the full
+        # stack; two fixed combinations give two such systems
+        w = _pt_row_weights(kp)
+        candidates = _det_case_candidates((psi0, psi1, w @ phi0, w @ phi1), k, 1)
     else:
         raise UnsupportedRankPattern(
             f"kernel dims ({k},{kp}) on 2x{n} are outside the implemented cases")
 
-    hits = []
-    for alpha, at_inf in candidates:
-        hit = _validate_candidate(rho, blocks, alpha, at_inf, tol)
-        if hit is not None:
-            hits.append(hit)
     # collapse duplicates after validation
     unique = []
-    for h in _sorted_hits(hits):
+    for h in _sorted_hits(_validate_candidates(blocks, candidates, tol)):
         if h.at_infinity:
             dup = any(u.at_infinity for u in unique)
         else:
@@ -233,135 +215,100 @@ def _search(rho, blocks, tol):
     return unique
 
 
-def _eliminate_case_candidates(blocks, k, kp):
-    """k = N-1 state-kernel rows plus kp >= 1 PT rows: each PT row j gives
-    det_j = W_j(alpha) + conj(alpha) V_j(alpha); eliminating conj(alpha)
-    between a base determinant and det_j leaves polynomials whose common
-    roots seed the search.  When all the eliminants vanish (proportional
-    determinant conditions, as happens for highly symmetric states) the base
-    determinant is solved self-consistently instead."""
-    psi0, psi1, phi0, phi1 = blocks
-    dets = []
-    for j in range(kp):
-        c = _det_bipoly(psi0, psi1, phi0[j:j + 1], phi1[j:j + 1], k, 1)
-        dets.append((c[:, 0], c[:, 1]))  # (W_j, V_j)
-    scales = [max(np.abs(w).max(), np.abs(v).max()) for w, v in dets]
-    jb = int(np.argmax(scales))
-    if scales[jb] < 1e-300:
-        raise DegenerateSystem("all determinant conditions vanish identically",
-                               continuum=True)
-    w0, v0 = dets[jb]
-    polys = []
-    for j in range(kp):
-        if j == jb:
-            continue
-        wj, vj = dets[j]
-        pj = _poly_sub(_poly_mul(v0, wj), _poly_mul(w0, vj))
-        if np.abs(pj).max() > 1e-10 * scales[jb] * scales[j]:
-            polys.append(_trim(pj))
-    if not polys:
-        # proportional conditions: fall back to the bivariate determinant solve
-        sub = (psi0, psi1, phi0[jb:jb + 1], phi1[jb:jb + 1])
-        return _det_case_candidates(sub, k, 1)
-    root_sets = [_poly_roots(p) for p in polys]
-    matched = []
-    for r in root_sets[0]:
-        r = _newton_polish(polys[0], r)
-        ok = True
-        for p, rs in zip(polys[1:], root_sets[1:]):
-            if rs.size == 0:
-                ok = False
-                break
-            near = rs[np.argmin(np.abs(rs - r))]
-            near = _newton_polish(p, near)
-            if abs(near - r) > 1e-6 * max(1.0, abs(r)):
-                ok = False
-                break
-        if ok:
-            matched.append(r)
-    out = [(a, False) for a in _dedupe(matched)]
-    out.append((0j, True))  # the alpha = infinity chart, validated like any root
-    return out
-
-
 def _det_case_candidates(blocks, k, kp):
     """k + k' = N: a single determinant condition D(alpha, conj alpha) = 0.
 
     D(alpha, z) = sum c_ij alpha^i z^j has trimmed degrees da <= k in alpha
     and dz <= k' in z.  At a self-consistent root z = conj(alpha) both D and
     its conjugate E(alpha, z) = sum conj(c_ij) z^i alpha^j vanish, so alpha
-    is a root of the resultant R(alpha) = Res_z(D, E), a polynomial of degree
-    at most da^2 + dz^2 (ten for the (5,7) pattern).  R is interpolated from
-    its (da+dz)-square Sylvester determinant at da^2 + dz^2 + 1 roots of unity;
-    each of its roots seeds a real 2x2 Newton polish on D(alpha, conj alpha).
-    The seeds contain every isolated self-consistent root, for every k', so
-    the enumeration is complete; the alpha = infinity chart is added as one
-    more candidate.  R vanishing identically means D and E share a factor:
-    the self-consistent roots form a curve (DegenerateSystem).
-    """
-    coeffs = _det_bipoly(*blocks, k, kp)
-    scale = np.abs(coeffs).max()
-    if scale < 1e-300:
-        raise DegenerateSystem("determinant vanishes identically", continuum=True)
-    keep = np.abs(coeffs) > 1e-12 * scale
-    coeffs = coeffs[:np.nonzero(keep.any(axis=1))[0].max() + 1,
-                    :np.nonzero(keep.any(axis=0))[0].max() + 1]
-    da, dz = coeffs.shape[0] - 1, coeffs.shape[1] - 1
+    is a root of the resultant R(alpha) = Res_z(D, E) = det S(alpha), S the
+    (da+dz)-square Sylvester matrix in z, a polynomial of degree at most
+    da^2 + dz^2 (ten for the (5,7) pattern).  Its roots are the eigenvalues
+    of the companion pencil of S(alpha), which stay accurate where the roots
+    of R's coefficients do not (clustered roots, roots far outside the unit
+    circle).  They seed a real 2x2 Newton polish on D(alpha, conj alpha), run
+    on all of them at once, and the polished roots where |D| is small are
+    returned.  The seeds contain every isolated self-consistent root, for
+    every k', so the enumeration is complete; the alpha = infinity chart is
+    added as one more candidate.  R vanishing identically (tested on its
+    interpolant at da^2 + dz^2 + 1 roots of unity) means D and E share a
+    factor: the self-consistent roots form a curve (DegenerateSystem).
 
-    # Sylvester matrix in z of P(z) = D(alpha, z) (da shifted rows) and
-    # Q(z) = E(alpha, z) (dz shifted rows), at every interpolation node
+    The PT rows of ``blocks`` may carry a leading axis of alternatives
+    (c x k' x N), each completing a square system whose determinant vanishes
+    at every hit.  The first is enumerated; the polish is then Gauss-Newton
+    on all of them, and |D| must be small for every one: where one
+    determinant has a nearly singular Jacobian at a hit (a near-double root
+    of its resultant), Newton on it alone leaves that hit inexact (residuals
+    of 1e-10 to 1e-7 seen, against a validation tol of 1e-8).
+    """
+    coeffs = _det_bipoly(*blocks, k, kp).reshape(-1, k + 1, kp + 1)
+    scale = np.abs(coeffs).max(axis=(1, 2))
+    if scale[0] < 1e-300:
+        raise DegenerateSystem("determinant vanishes identically", continuum=True)
+    keep = np.abs(coeffs[0]) > 1e-12 * scale[0]
+    coeffs = coeffs[:, :np.nonzero(keep.any(axis=1))[0].max() + 1,
+                    :np.nonzero(keep.any(axis=0))[0].max() + 1]
+    da, dz = coeffs.shape[1] - 1, coeffs.shape[2] - 1
+
+    # S(alpha) = sum_i alpha^i S_i, the Sylvester matrix in z of
+    # P(z) = D(alpha, z) (da shifted rows) and Q(z) = E(alpha, z) (dz rows)
+    sylvester = np.zeros((max(da, dz) + 1, da + dz, da + dz), dtype=complex)
+    for r in range(da):
+        sylvester[:da + 1, r, r:r + dz + 1] = coeffs[0]
+    for r in range(dz):
+        sylvester[:dz + 1, da + r, r:r + da + 1] = coeffs[0].conj().T
     m = da * da + dz * dz + 1
     xs = np.exp(2j * np.pi * np.arange(m) / m)
-    p = (xs[:, None] ** np.arange(da + 1)) @ coeffs                 # m x (dz+1)
-    q = (xs[:, None] ** np.arange(dz + 1)) @ coeffs.conj().T        # m x (da+1)
-    syl = np.zeros((m, da + dz, da + dz), dtype=complex)
-    for r in range(da):
-        syl[:, r, r:r + dz + 1] = p
-    for r in range(dz):
-        syl[:, da + r, r:r + da + 1] = q
-    res = np.fft.fft(np.linalg.det(syl)) / m
-    if np.abs(res).max() <= 1e-9 * scale ** (da + dz):
+    nodes = np.tensordot(xs[:, None] ** np.arange(len(sylvester)), sylvester, 1)
+    res = np.fft.fft(np.linalg.det(nodes)) / m
+    if np.abs(res).max() <= 1e-9 * scale[0] ** (da + dz):
         raise DegenerateSystem(
             "the resultant of the determinant and its conjugate vanishes "
             "identically: the self-consistent roots form a curve", continuum=True)
-    seeds = _poly_roots(res)
 
-    def dval(al):
-        powa = al ** np.arange(da + 1)
-        powz = np.conj(al) ** np.arange(dz + 1)
-        return powa @ coeffs @ powz
+    # every D, dD/dalpha and dD/dz, divided by the scale of its D, as
+    # coefficients of the monomials alpha^i z^j
+    ia, iz = np.arange(da + 1), np.arange(dz + 1)
+    tensor = np.zeros((len(coeffs), 3, da + 1, dz + 1), dtype=complex)
+    tensor[:, 0] = coeffs
+    tensor[:, 1, :-1] = coeffs[:, 1:] * ia[1:, None]
+    tensor[:, 2, :, :-1] = coeffs[:, :, 1:] * iz[1:]
+    tensor /= scale[:, None, None, None]
 
-    def dgrad(al):
-        ia, iz = np.arange(da + 1), np.arange(dz + 1)
-        powa, powz = al ** ia, np.conj(al) ** iz
-        ga = (ia[1:] * powa[:-1]) @ coeffs[1:] @ powz if da else 0.0
-        gz = powa @ coeffs[:, 1:] @ (iz[1:] * powz[:-1]) if dz else 0.0
-        return complex(ga), complex(gz)
+    def terms(al):
+        """Values and derivatives at every entry of al (conditions x 3 x len(al))."""
+        return ((al[:, None] ** ia) @ tensor * al.conj()[:, None] ** iz).sum(-1)
 
-    roots = []
-    for s in seeds:
-        al = complex(s)
-        ok = False
+    # Gauss-Newton on F(x, y) = D(x+iy, x-iy) = 0 for every condition, at all
+    # live seeds at once: the normal equations P step + Q conj(step) = G in
+    # complex form.  For one condition it is the real 2x2 Newton, with
+    # P^2 - |Q|^2 = (|dD/dalpha|^2 - |dD/dz|^2)^2.  A seed stops when its step
+    # is negligible or a step fails to halve |F|; past that it only wanders.
+    al = _pencil_eigenvalues(sylvester, [da] * da + [dz] * dz)
+    live = np.arange(al.size)
+    last = np.full(al.size, np.inf)
+    with np.errstate(all="ignore"):
         for _ in range(40):
-            fv = dval(al)
-            ga, gz = dgrad(al)
-            # real 2x2 Newton for F(x, y) = D(x+iy, x-iy)
-            j11, j12 = ga + gz, 1j * (ga - gz)
-            det = (j11.real * j12.imag - j12.real * j11.imag)
-            if abs(det) < 1e-300:
+            fv, ga, gz = terms(al[live]).transpose(1, 0, 2)
+            now = (np.abs(fv) ** 2).sum(0)
+            halved = now <= 0.25 * last[live]
+            last[live] = now
+            live, fv, ga, gz = live[halved], fv[:, halved], ga[:, halved], gz[:, halved]
+            if not live.size:
                 break
-            dx = (-fv.real * j12.imag + fv.imag * j12.real) / det
-            dy = (-j11.real * fv.imag + j11.imag * fv.real) / det
-            step = complex(dx, dy)
-            al = al + step
-            if abs(step) < 1e-13 * max(1.0, abs(al)):
-                ok = True
-                break
-        if ok and abs(dval(al)) <= 1e-9 * max(1.0, scale * max(1.0, abs(al)) ** (k + kp + 2)):
-            roots.append(al)
-    out = [(a, False) for a in _dedupe(roots)]
-    out.append((0j, True))
-    return out
+            pp = (np.abs(ga) ** 2 + np.abs(gz) ** 2).sum(0)
+            qq = 2 * (ga.conj() * gz).sum(0)
+            gg = -(ga.conj() * fv + gz * fv.conj()).sum(0)
+            det = pp ** 2 - np.abs(qq) ** 2
+            step = (pp * gg - qq * gg.conj()) / det
+            moving = np.abs(det) >= 1e-300
+            al[live] = a = np.where(moving, al[live] + step, al[live])
+            live = live[moving & (np.abs(step) >= 1e-13 * np.maximum(1.0, np.abs(a)))]
+        grow = np.maximum(1.0, np.abs(al)) ** (k + kp + 2)
+        small = np.abs(terms(al)[:, 0]) <= 1e-9 * np.maximum(1 / scale[:, None], grow)
+        roots = al[small.all(0)]
+    return [(a, False) for a in roots] + [(0j, True)]
 
 
 def determinant_equation_57(rho: DensityMatrix, tol: float = 1e-7) -> list[ProductVectorHit]:
@@ -382,7 +329,7 @@ def determinant_equation_57(rho: DensityMatrix, tol: float = 1e-7) -> list[Produ
     k, kp = blocks[0].shape[0], blocks[2].shape[0]
     if (k, kp) != (3, 1):
         raise UnsupportedRankPattern(f"need kernel dims (3, 1), got ({k}, {kp})")
-    return _search(rho, blocks, tol)
+    return _search(blocks, tol)
 
 
 @dataclass(frozen=True)
@@ -414,7 +361,7 @@ def subtract_product_projector(rho: DensityMatrix, e: np.ndarray, f: np.ndarray,
     if np.abs(residue).max() < 1e-13 * max(np.abs(rho.mat).max(), 1e-300):
         residue = np.zeros_like(residue)
     rho_prime = densmat.validate_density(residue, rho.dim_a, rho.dim_b,
-                                         tol=1e-8, unnormalized=True)
+                                         tol=rho.tol, unnormalized=True)
     after = densmat.nonzero_eigenvalues(rho_prime.spectrum.eigenvalues)
     return SubtractionResult(rho_prime, weight, int(np.sum(keep)) - int(np.sum(after)))
 
@@ -430,11 +377,12 @@ def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
     """Edge iff no product vector sits in the range with its conjugate partner
     in the PT range.  Only meaningful for PPT states.
 
-    find_product_vectors enumerates every isolated hit in the determinant
-    case k + k' = N (for every k', through the resultant) and in the
-    elimination case k = N - 1, so there 'edge' and 'not_edge' are exact.  A
-    continuum of hits is 'not_edge' once one witness is found, else
-    'unknown'; other kernel dimensions are 'unknown'."""
+    find_product_vectors enumerates every isolated hit through one resultant
+    enumeration, in the determinant case k + k' = N (for every k') and in the
+    case k = N - 1 < k + k', so there 'edge' and 'not_edge' are exact.  A
+    continuum of hits is 'not_edge' once one witness is found (any f when
+    there are no kernel constraints at all), else 'unknown'; other kernel
+    dimensions are 'unknown'."""
     ppt, min_eig = densmat.is_ppt(rho)
     if not ppt:
         raise InputError(f"edge test needs a PPT state (min PT eigenvalue {min_eig:.3e})")
@@ -468,17 +416,16 @@ def _find_any_hit(rho: DensityMatrix, tol: float) -> ProductVectorHit | None:
     seeds = (0j, 1 + 0j, 1j, -1 + 0j, 0.5 - 0.5j, 2 + 1j, -0.3 + 1.7j, 0.1 + 0.1j)
     for seed in seeds:
         if smin(seed) <= tol:
-            hit = _validate_candidate(rho, blocks, seed, False, tol)
-            if hit is not None:
-                return hit
+            hits = _validate_candidates(blocks, [(seed, False)], tol)
+            if hits:
+                return hits[0]
         res = scipy.optimize.minimize(
             lambda x: smin(complex(x[0], x[1])),
             np.array([seed.real, seed.imag]), method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
-        alpha = complex(res.x[0], res.x[1])
-        hit = _validate_candidate(rho, blocks, alpha, False, tol)
-        if hit is not None:
-            return hit
+        hits = _validate_candidates(blocks, [(complex(res.x[0], res.x[1]), False)], tol)
+        if hits:
+            return hits[0]
     return None
 
 
@@ -507,7 +454,8 @@ def balanced_subtraction_vector(rho: DensityMatrix, seed: int = 0,
     rng = np.random.default_rng(seed)
     n = rho.dim_b
     pt = densmat.partial_transpose(rho, "A")
-    pt_state = densmat.validate_density(pt, rho.dim_a, rho.dim_b, unnormalized=True)
+    pt_state = densmat.validate_density(pt, rho.dim_a, rho.dim_b, tol=rho.tol,
+                                        unnormalized=True)
     blocks = _row_blocks(rho)
     n_rows = blocks[0].shape[0] + blocks[2].shape[0]
     if n_rows >= n:

@@ -120,23 +120,33 @@ def test_determinant_equation_57_recovers_plant():
     assert recovered >= 3
 
 
+def accept_finite(blocks, candidates, tol):
+    """A validator that accepts every finite candidate as a hit."""
+    n = blocks[0].shape[1]
+    return [ProductVectorHit(complex(a), False, np.array([1.0, a]) / np.sqrt(1 + abs(a) ** 2),
+                             np.eye(n)[0], 0.0, 0.0)
+            for a, at_inf in candidates if not at_inf]
+
+
 def test_determinant_equation_57_raises_above_bound(monkeypatch):
     """Eleven validated roots exceed the degree bound 3^2 + 1^2 = 10: a
     continuum, reported as such instead of truncated to ten."""
     dm, _ = fixtures.rank57_state(0)
     roots = [complex(0.1 * j, 0.05) for j in range(11)]
 
-    def validate(rho, blocks, alpha, at_infinity, tol):
-        if at_infinity:
-            return None
-        e = np.array([1.0, alpha]) / np.sqrt(1 + abs(alpha) ** 2)
-        return ProductVectorHit(complex(alpha), False, e, np.eye(4)[0], 0.0, 0.0)
-
     monkeypatch.setattr(provec, "_det_case_candidates",
                         lambda blocks, k, kp: [(a, False) for a in roots] + [(0j, True)])
-    monkeypatch.setattr(provec, "_validate_candidate", validate)
+    monkeypatch.setattr(provec, "_validate_candidates", accept_finite)
     with pytest.raises(DegenerateSystem):
         determinant_equation_57(dm)
+
+
+def _dedupe(values, tol=1e-6):
+    out = []
+    for v in values:
+        if all(abs(v - u) > tol * max(1.0, abs(v)) for u in out):
+            out.append(v)
+    return out
 
 
 def grid_reference_candidates(blocks, k, kp):
@@ -179,7 +189,7 @@ def grid_reference_candidates(blocks, k, kp):
         bound = 1e-9 * max(1.0, np.abs(coeffs).max() * max(1.0, abs(al)) ** (k + kp + 2))
         if ok and abs(dval(al)) <= bound:
             roots.append(al)
-    return [(a, False) for a in provec._dedupe(roots)] + [(0j, True)]
+    return [(a, False) for a in _dedupe(roots)] + [(0j, True)]
 
 
 def reference_alphas(monkeypatch, search, dm):
@@ -216,6 +226,203 @@ def test_det_case_contains_grid_reference_66(monkeypatch):
             assert any(a == b or abs(a - b) <= 1e-6 for b in got), (seed, a)
         checked += 1
     assert checked >= 5
+
+
+# The elimination case's former seeding (k = N - 1 < k + k'), kept verbatim
+# as a reference together with the polynomial helpers it used.
+_det_bipoly = provec._det_bipoly
+_det_case_candidates = provec._det_case_candidates
+
+
+def _trim(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+    """Strip trailing (high-order) coefficients that are numerically zero."""
+    c = np.asarray(coeffs, dtype=complex)
+    scale = np.abs(c).max()
+    if scale == 0.0:
+        return c[:1]
+    keep = np.abs(c) > rel_tol * scale
+    last = np.max(np.nonzero(keep)) if keep.any() else 0
+    return c[:last + 1]
+
+
+def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
+    c = _trim(coeffs)
+    if c.size <= 1:
+        return np.array([], dtype=complex)
+    return np.roots(c[::-1])
+
+
+def _poly_eval(coeffs: np.ndarray, x: complex) -> complex:
+    return complex(np.polyval(np.asarray(coeffs)[::-1], x))
+
+
+def _poly_derivative(coeffs: np.ndarray) -> np.ndarray:
+    c = np.asarray(coeffs, dtype=complex)
+    if c.size <= 1:
+        return np.zeros(1, dtype=complex)
+    return c[1:] * np.arange(1, c.size)
+
+
+def _newton_polish(coeffs, x, steps=2):
+    d = _poly_derivative(coeffs)
+    for _ in range(steps):
+        fp = _poly_eval(d, x)
+        if abs(fp) < 1e-300:
+            break
+        x = x - _poly_eval(coeffs, x) / fp
+    return x
+
+
+def _poly_mul(a, b):
+    return np.convolve(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def _poly_sub(a, b):
+    size = max(len(a), len(b))
+    out = np.zeros(size, dtype=complex)
+    out[:len(a)] += a
+    out[:len(b)] -= b
+    return out
+
+
+def _eliminate_case_candidates(blocks, k, kp):
+    """k = N-1 state-kernel rows plus kp >= 1 PT rows: each PT row j gives
+    det_j = W_j(alpha) + conj(alpha) V_j(alpha); eliminating conj(alpha)
+    between a base determinant and det_j leaves polynomials whose common
+    roots seed the search.  When all the eliminants vanish (proportional
+    determinant conditions, as happens for highly symmetric states) the base
+    determinant is solved self-consistently instead."""
+    psi0, psi1, phi0, phi1 = blocks
+    dets = []
+    for j in range(kp):
+        c = _det_bipoly(psi0, psi1, phi0[j:j + 1], phi1[j:j + 1], k, 1)
+        dets.append((c[:, 0], c[:, 1]))  # (W_j, V_j)
+    scales = [max(np.abs(w).max(), np.abs(v).max()) for w, v in dets]
+    jb = int(np.argmax(scales))
+    if scales[jb] < 1e-300:
+        raise DegenerateSystem("all determinant conditions vanish identically",
+                               continuum=True)
+    w0, v0 = dets[jb]
+    polys = []
+    for j in range(kp):
+        if j == jb:
+            continue
+        wj, vj = dets[j]
+        pj = _poly_sub(_poly_mul(v0, wj), _poly_mul(w0, vj))
+        if np.abs(pj).max() > 1e-10 * scales[jb] * scales[j]:
+            polys.append(_trim(pj))
+    if not polys:
+        # proportional conditions: fall back to the bivariate determinant solve
+        sub = (psi0, psi1, phi0[jb:jb + 1], phi1[jb:jb + 1])
+        return _det_case_candidates(sub, k, 1)
+    root_sets = [_poly_roots(p) for p in polys]
+    matched = []
+    for r in root_sets[0]:
+        r = _newton_polish(polys[0], r)
+        ok = True
+        for p, rs in zip(polys[1:], root_sets[1:]):
+            if rs.size == 0:
+                ok = False
+                break
+            near = rs[np.argmin(np.abs(rs - r))]
+            near = _newton_polish(p, near)
+            if abs(near - r) > 1e-6 * max(1.0, abs(r)):
+                ok = False
+                break
+        if ok:
+            matched.append(r)
+    out = [(a, False) for a in _dedupe(matched)]
+    out.append((0j, True))  # the alpha = infinity chart, validated like any root
+    return out
+
+
+def eliminate_reference_alphas(dm, tol=1e-8):
+    """Distinct validated alphas (inf for the infinity chart) of the former
+    elimination-case search, in the order find_product_vectors sorts hits."""
+    blocks = provec._row_blocks(dm)
+    k, kp = blocks[0].shape[0], blocks[2].shape[0]
+    assert k == dm.dim_b - 1 < k + kp
+    hits = provec._validate_candidates(blocks, _eliminate_case_candidates(blocks, k, kp), tol)
+    out = []
+    for h in provec._sorted_hits(hits):
+        a = complex(np.inf) if h.at_infinity else h.alpha
+        if all(a != b and abs(a - b) > 1e-6 * max(1.0, abs(a)) for b in out):
+            out.append(a)
+    return out
+
+
+def assert_same_search(dm):
+    try:
+        ref = eliminate_reference_alphas(dm)
+    except DegenerateSystem:
+        with pytest.raises(DegenerateSystem):
+            find_product_vectors(dm)
+        return
+    got = [complex(np.inf) if h.at_infinity else h.alpha for h in find_product_vectors(dm)]
+    assert len(got) == len(ref)
+    assert [np.isinf(a) for a in got] == [np.isinf(a) for a in ref]
+    finite = [(a, b) for a, b in zip(got, ref) if not np.isinf(a)]
+    assert all(abs(a - b) <= 1e-6 for a, b in finite), (got, ref)
+
+
+def test_elimination_equals_reference_on_mixtures():
+    """(N+1)-term product mixtures: kernel dims (N-1, N-1), every planted
+    product vector a hit."""
+    for n in (3, 4, 5, 6):
+        for seed in range(6):
+            rho, _ = states.random_separable(2, n, n + 1, seed=100 + seed)
+            assert_same_search(rho)
+
+
+def test_elimination_equals_reference_on_56_fixtures():
+    checked = 0
+    for seed in range(12):
+        dm = fixtures.ppt56_state(seed)
+        if dm is not None:
+            assert_same_search(dm)
+            checked += 1
+    assert checked >= 6
+    for seed in range(8):
+        assert_same_search(fixtures.separable_56(seed)[0])
+    for b in (0.3, 0.5, 0.8):
+        for seed in range(4):
+            assert_same_search(fixtures.horodecki_range_mixture(b, seed)[0])
+
+
+def test_elimination_equals_reference_on_horodecki_grid():
+    for b in np.linspace(0.05, 1.0, 20):
+        assert_same_search(states.horodecki97(b))
+
+
+def test_elimination_finds_every_planted_vector_on_hard_mixtures():
+    """Mixtures whose resultant has a root far outside the unit circle
+    (2x6, seed 10253: |alpha| ~ 50) or a near-double root at a hit, where
+    the first combination's Jacobian is nearly singular (2x5, seed 10274:
+    relative 1e-6; Newton on that combination alone leaves 1e-10 there)."""
+    for n, seed in ((6, 10253), (5, 10274), (6, 10878), (6, 10971)):
+        rho, sd = states.random_separable(2, n, n + 1, seed=seed)
+        hits = find_product_vectors(rho)
+        for phi, psi in zip(sd.phis, sd.psis):
+            gen = np.kron(phi, psi)
+            assert max(overlap(h.product_vector(), gen) for h in hits) > 1 - 1e-6, (n, seed)
+        assert max(max(h.residual_range, h.residual_pt_range) for h in hits) < 1e-12, (n, seed)
+
+
+def test_elimination_case_raises_above_bound(monkeypatch):
+    """Kernel dims (3, 2) on 2x4: at most 2k = 6 hits.  Six validated roots
+    pass; seven are a continuum, reported as such instead of truncated."""
+    rho, _ = fixtures.separable_56(1)
+    assert [b.shape[0] for b in provec._row_blocks(rho)] == [3, 3, 2, 2]
+    monkeypatch.setattr(provec, "_validate_candidates", accept_finite)
+    for count, raises in ((6, False), (7, True)):
+        roots = [complex(0.1 * j, 0.05) for j in range(count)]
+        monkeypatch.setattr(provec, "_det_case_candidates",
+                            lambda blocks, k, kp: [(a, False) for a in roots] + [(0j, True)])
+        if raises:
+            with pytest.raises(DegenerateSystem):
+                find_product_vectors(rho)
+        else:
+            assert len(find_product_vectors(rho)) == count
 
 
 def test_determinant_equation_57_pattern_guard():
@@ -349,3 +556,25 @@ def test_hits_sorted_deterministically():
     assert a == b
     mags = [abs(x) for x in a]
     assert mags == sorted(mags)
+
+
+def test_edge_state_test_on_full_rank_state():
+    """No kernel constraints at all: every product vector is in both ranges,
+    so the state is not edge, with any witness."""
+    ev = edge_state_test(states.werner(0.2))
+    assert ev.verdict == "not_edge"
+    assert ev.hits == (ev.witness,)
+    assert ev.witness.residual_range == ev.witness.residual_pt_range == 0.0
+    assert abs(np.linalg.norm(ev.witness.f) - 1) < 1e-12
+
+
+def test_subtractions_validate_at_state_tol():
+    """A state accepted at tol 1e-6 with a 1e-7 Hermiticity defect: the
+    residue and the partial transpose are validated at the same tol."""
+    mat = states.werner(0.2).mat.copy()
+    mat[0, 1] += 3e-8
+    rho = densmat.validate_density(mat, 2, 2, tol=1e-6)
+    res = subtract_product_projector(rho, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    assert res.rank_drop == 1
+    e, f = balanced_subtraction_vector(rho)
+    assert abs(np.linalg.norm(e) - 1) < 1e-12 and abs(np.linalg.norm(f) - 1) < 1e-12
