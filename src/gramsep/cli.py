@@ -153,8 +153,7 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
         # PPT passed at tolerance but the canonical gap is numerically negative
         return finish(VERDICT_UNDECIDED, "PPT is marginal; canonical gap not factorable")
 
-    n = cf.n
-    sol = None
+    rejection = None  # (verdict, note) reported when the solver accepts nothing
     if ep.q == 0:
         residual, ok = twoxn.rank_n_test(cf)
         report["solver"] = {"method": "rank_n", "normality_residual": residual,
@@ -165,30 +164,21 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
         sol = twoxn.solve_extension_general(ep, budget=1, seed=seed)
     elif densmat.hermitian_deviation(cf.b) <= 1e-9 and cf.p == cf.p_tilde:
         sol = twoxn.self_pt_extension(cf)
-    elif n == 4 and (ep.p, ep.p_tilde) == (1, 1):
+    elif cf.n == 4 and (ep.p, ep.p_tilde) == (1, 1):
         sol = twoxn.solve_extension_55(ep, accept_tol=cert_tol)
-        if not sol.accepted:
-            report["solver"] = _solver_dict(sol)
-            timings["solver"] = time.perf_counter() - t0
-            return finish(VERDICT_RANGE,
-                          "no scalar normal completion exists; equivalent to the "
-                          "range criterion for the (5,5) pattern")
-    elif n == 4 and (ep.p, ep.p_tilde) == (1, 2):
+        rejection = (VERDICT_RANGE, "no scalar normal completion exists; equivalent to the "
+                                    "range criterion for the (5,5) pattern")
+    elif cf.n == 4 and (ep.p, ep.p_tilde) == (1, 2):
         sol = twoxn.solve_extension_56(ep)
-        if not sol.accepted:
-            report["solver"] = _solver_dict(sol)
-            timings["solver"] = time.perf_counter() - t0
-            return finish(VERDICT_UNDECIDED,
-                          "no completion found on the search grid; existence not excluded")
+        rejection = (VERDICT_UNDECIDED,
+                     "no completion found on the search grid; existence not excluded")
     else:
         sol = twoxn.solve_extension_general(ep, budget=budget, seed=seed)
-        if not sol.accepted:
-            report["solver"] = _solver_dict(sol)
-            timings["solver"] = time.perf_counter() - t0
-            return finish(VERDICT_UNDECIDED,
-                          f"best completion residual {sol.normality_residual:.3e}")
+        rejection = (VERDICT_UNDECIDED, f"best completion residual {sol.normality_residual:.3e}")
     report["solver"] = _solver_dict(sol)
     timings["solver"] = time.perf_counter() - t0
+    if rejection is not None and not sol.accepted:
+        return finish(*rejection)
 
     t0 = time.perf_counter()
     try:

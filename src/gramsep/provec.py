@@ -467,73 +467,56 @@ def balanced_subtraction_vector(rho: DensityMatrix, seed: int = 0,
         b = subtract_product_projector(pt_state, e.conj(), f).weight
         return a - b
 
+    # Each branch draws a witness w, maps it to its product pair at(w), and
+    # joins two witnesses by path(pos, neg, t) for the bisection.
     if n_rows > 0:
+        def draw():
+            return complex(*rng.normal(size=2))
+
         def at(alpha):
             rows = _stack_rows(blocks, alpha)
             f = np.linalg.svd(rows)[2][-1].conj()
             e = np.array([1.0, alpha], dtype=complex)
             return e / np.linalg.norm(e), f / np.linalg.norm(f)
 
-        pos = neg = None
-        for _ in range(samples):
-            alpha = complex(*rng.normal(size=2))
-            try:
-                g = gap(*at(alpha))
-            except NotInRange:
-                continue
-            if abs(g) <= tol:
-                return at(alpha)
-            if g > 0 and pos is None:
-                pos = alpha
-            if g < 0 and neg is None:
-                neg = alpha
-            if pos is not None and neg is not None:
-                break
-        if pos is None or neg is None:
-            raise RuntimeError("could not find opposite-sign witnesses")
-        glo = gap(*at(pos))
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            e, f = at((1 - mid) * pos + mid * neg)
-            g = gap(e, f)
-            if abs(g) <= tol:
-                return e, f
-            if (g > 0) == (glo > 0):
-                lo = mid
-            else:
-                hi = mid
-        return e, f
+        def path(pos, neg, t):
+            return (1 - t) * pos + t * neg
+    else:
+        def draw():
+            e = rng.normal(size=2) + 1j * rng.normal(size=2)
+            f = rng.normal(size=n) + 1j * rng.normal(size=n)
+            return e / np.linalg.norm(e), f / np.linalg.norm(f)
 
-    def sample():
-        e = rng.normal(size=2) + 1j * rng.normal(size=2)
-        f = rng.normal(size=n) + 1j * rng.normal(size=n)
-        return e / np.linalg.norm(e), f / np.linalg.norm(f)
+        def at(pair):
+            return pair
+
+        def path(pos, neg, t):
+            e = _slerp(pos[0], neg[0], t)
+            f = _slerp(pos[1], neg[1], t)
+            return e / np.linalg.norm(e), f / np.linalg.norm(f)
 
     pos = neg = None
     for _ in range(samples):
-        e, f = sample()
+        w = draw()
         try:
-            g = gap(e, f)
+            g = gap(*at(w))
         except NotInRange:
             continue
         if abs(g) <= tol:
-            return e, f
+            return at(w)
         if g > 0 and pos is None:
-            pos = (e, f)
+            pos = w
         if g < 0 and neg is None:
-            neg = (e, f)
-        if pos and neg:
+            neg = w
+        if pos is not None and neg is not None:
             break
-    if not (pos and neg):
+    if pos is None or neg is None:
         raise RuntimeError("could not find opposite-sign witnesses")
+    glo = gap(*at(pos))
     lo, hi = 0.0, 1.0
-    glo = gap(*pos)
     for _ in range(200):
         mid = (lo + hi) / 2
-        e = _slerp(pos[0], neg[0], mid)
-        f = _slerp(pos[1], neg[1], mid)
-        e, f = e / np.linalg.norm(e), f / np.linalg.norm(f)
+        e, f = at(path(pos, neg, mid))
         g = gap(e, f)
         if abs(g) <= tol:
             return e, f

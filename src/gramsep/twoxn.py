@@ -14,6 +14,8 @@ certificate extraction of :mod:`gramsep.sep`.
 The completion has a U(q) gauge: conjugation by diag(I, U) keeps B, both
 factor constraints, normality and w_0n, and some U takes any admissible
 T = W Lamt (W an isometry) to [Lamt; 0], where the general solver pins it.
+Both searching solvers polish with one Levenberg-Marquardt descent on this
+pinned completion, started from random draws or from a (5,6) sphere scan.
 """
 
 from __future__ import annotations
@@ -60,7 +62,11 @@ def factor_psd(h, rel_tol: float = 1e-9, scale: float | None = None) -> np.ndarr
     dev = densmat.hermitian_deviation(m)
     if dev > 1e-8:
         raise densmat.NotHermitian(dev)
-    evals, evecs = np.linalg.eigh((m + m.conj().T) / 2)
+    return _factor_from_eigh(*np.linalg.eigh((m + m.conj().T) / 2), rel_tol, scale)
+
+
+def _factor_from_eigh(evals, evecs, rel_tol, scale):
+    """:func:`factor_psd` from the ascending eigendecomposition of h."""
     if scale is None:
         scale = max(evals.max(), 0.0) if evals.size else 0.0
     if evals.size and evals[0] < -max(rel_tol, 1e-8) * max(scale, 1e-300):
@@ -70,7 +76,7 @@ def factor_psd(h, rel_tol: float = 1e-9, scale: float | None = None) -> np.ndarr
     vecs = evecs[:, keep][:, ::-1]
     cols = [gram.phase_fix(vecs[:, i]) * np.sqrt(lam[i]) for i in range(lam.size)]
     if not cols:
-        return np.zeros((m.shape[0], 0), dtype=complex)
+        return np.zeros((evecs.shape[0], 0), dtype=complex)
     return np.column_stack(cols)
 
 
@@ -130,9 +136,10 @@ def canonical_form(rho: DensityMatrix, sing_tol: float = 1e-12,
     lam = factor_psd((gap_rho + gap_rho.conj().T) / 2, rel_tol=rank_tol, scale=a_scale)
     gap = a - b.conj().T @ b
     gap = (gap + gap.conj().T) / 2
-    gap_min = float(np.linalg.eigvalsh(gap)[0])
+    gap_evals, gap_evecs = np.linalg.eigh(gap)
+    gap_min = float(gap_evals[0])
     ppt = gap_min >= -1e-9 * a_scale
-    lam_tilde = (factor_psd(gap, rel_tol=rank_tol, scale=a_scale).conj().T
+    lam_tilde = (_factor_from_eigh(gap_evals, gap_evecs, rank_tol, a_scale).conj().T
                  if ppt else None)
     return CanonicalForm2xN(n, a, b, lam, lam_tilde, c_half, c_inv_half,
                             ppt, gap_min)
@@ -302,15 +309,18 @@ def _offdiag_block_lstsq(bmat, r, t, q):
     return coef.view(complex).reshape(q, q)
 
 
-def solve_extension_56(ep: ExtensionProblem, grid: tuple[int, int, int] = (12, 12, 8),
-                       accept_tol: float = 1e-6, refine: bool = True) -> ExtensionSolution:
+_GRID_56 = (12, 12, 8)  # theta, phi, gamma cells of the (5,6) sphere scan
+
+
+def solve_extension_56(ep: ExtensionProblem, accept_tol: float = 1e-6) -> ExtensionSolution:
     """Rank pattern (N+1, N+2): upper-right block is |Lam>(alpha, beta).
 
     The two off-diagonal normality equations are real-linear in S for a fixed
-    unit vector (alpha, beta), so we grid the sphere (relative phase included;
+    unit vector (alpha, beta), so we scan the sphere (relative phase included;
     the leftover overall phase cannot be gauged once the Lamt factor is
-    pinned), solve each cell by least squares, and polish the best cell over
-    all parameters with a local least-squares descent on the full commutator.
+    pinned) and solve each cell by least squares.  The best cell is the
+    pinned completion at z = conj((alpha, beta))^T, since T = Lamt here, and
+    the descent of :func:`solve_extension_general` polishes it over (z, S).
     """
     if ep.p != 1 or ep.p_tilde != 2:
         raise InputError(f"need (p, p~) = (1, 2), got ({ep.p}, {ep.p_tilde})")
@@ -318,41 +328,28 @@ def solve_extension_56(ep: ExtensionProblem, grid: tuple[int, int, int] = (12, 1
     lvec = ep.lam[:, 0]
     tmat = ep.lam_tilde0  # 2 x N
 
-    def build(theta, phi, gamma):
-        ab = np.array([np.cos(theta), np.sin(theta) * np.exp(1j * phi)]) * np.exp(1j * gamma)
-        r = lvec[:, None] * ab[None, :]
-        s = _offdiag_block_lstsq(bmat, r, tmat, 2)
-        m = assemble(bmat, r, tmat, s)
-        return m, s, r, ab
-
-    best = None
-    nth, nph, nga = grid
+    best_res, best_ab = None, None
+    nth, nph, nga = _GRID_56
     for theta in np.linspace(0, np.pi / 2, nth):
         for phi in np.linspace(0, 2 * np.pi, nph, endpoint=False):
             for gamma in np.linspace(0, 2 * np.pi, nga, endpoint=False):
-                m, s, r, ab = build(theta, phi, gamma)
-                res = sep.normality_residual(m)
-                if best is None or res < best[0]:
-                    best = (res, (theta, phi, gamma), s, r, ab, m)
+                ab = (np.array([np.cos(theta), np.sin(theta) * np.exp(1j * phi)])
+                      * np.exp(1j * gamma))
+                r = lvec[:, None] * ab[None, :]
+                s = _offdiag_block_lstsq(bmat, r, tmat, 2)
+                res = sep.normality_residual(assemble(bmat, r, tmat, s))
+                if best_ab is None or res < best_res:
+                    best_res, best_ab = res, ab
 
-    res, angles, s, r, ab, m = best
-    if refine:
-        import scipy.optimize  # deferred: most of the package's import time
-
-        def fun(x):
-            mm, *_ = build(x[0], x[1], x[2])
-            comm = mm @ mm.conj().T - mm.conj().T @ mm
-            return np.concatenate([comm.real.ravel(), comm.imag.ravel()])
-
-        sol = scipy.optimize.least_squares(fun, np.array(angles), method="lm",
-                                           xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        m2, s2, r2, ab2 = build(*sol.x)
-        res2 = sep.normality_residual(m2)
-        if res2 < res:
-            res, s, r, ab, m = res2, s2, r2, ab2, m2
-    eq = np.linalg.norm(m @ m.conj().T - m.conj().T @ m)
-    return ExtensionSolution(m, s, r, tmat, res, float(eq), res <= accept_tol,
-                             "alpha_beta_grid", {"alpha": ab[0], "beta": ab[1]})
+    start, blocks, residual, jacobian = _pinned_completion(ep)
+    x = _descend(residual, jacobian, start(best_ab.conj()[:, None]))
+    r, t, s = blocks(x)
+    m = assemble(bmat, r, t, s)
+    res = sep.normality_residual(m)
+    alpha, beta = lvec.conj() @ r / (lvec.conj() @ lvec)
+    return ExtensionSolution(m, s, r, t, res, float(np.linalg.norm(residual(x))),
+                             res <= accept_tol, "alpha_beta_grid",
+                             {"alpha": alpha, "beta": beta})
 
 
 def _pinned_completion(ep: ExtensionProblem):
@@ -410,6 +407,15 @@ def _pinned_completion(ep: ExtensionProblem):
     return start, blocks, residual, jacobian
 
 
+def _descend(residual, jacobian, x0) -> np.ndarray:
+    """Levenberg-Marquardt from x0 on a pinned-completion residual; returns x."""
+    import scipy.optimize  # deferred: most of the package's import time
+
+    return scipy.optimize.least_squares(residual, x0, jac=jacobian, method="lm",
+                                        xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                                        max_nfev=4000).x
+
+
 def solve_extension_general(ep: ExtensionProblem, budget: int = 12, seed: int = 0,
                             accept_tol: float = 1e-8,
                             target: float = 1e-12) -> ExtensionSolution:
@@ -428,8 +434,6 @@ def solve_extension_general(ep: ExtensionProblem, budget: int = 12, seed: int = 
                                  np.zeros((n, 0), dtype=complex), np.zeros((0, n), dtype=complex),
                                  res, res, res <= accept_tol, "rank_n", {})
 
-    import scipy.optimize  # deferred: most of the package's import time
-
     rng = np.random.default_rng(seed)
     start, blocks, residual, jacobian = _pinned_completion(ep)
     best_x, best_res, ran = None, np.inf, 0
@@ -437,13 +441,11 @@ def solve_extension_general(ep: ExtensionProblem, budget: int = 12, seed: int = 
         z = np.eye(q, p, dtype=complex)
         if ran:
             z = z + rng.normal(size=(q, p)) + 1j * rng.normal(size=(q, p))
-        sol = scipy.optimize.least_squares(residual, start(z), jac=jacobian, method="lm",
-                                           xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                           max_nfev=4000)
+        x = _descend(residual, jacobian, start(z))
         ran += 1
-        res = sep.normality_residual(assemble(ep.b, *blocks(sol.x)))
+        res = sep.normality_residual(assemble(ep.b, *blocks(x)))
         if res < best_res:
-            best_x, best_res = sol.x, res
+            best_x, best_res = x, res
 
     r, t, s = blocks(best_x)
     return ExtensionSolution(assemble(ep.b, r, t, s), s, r, t, best_res,

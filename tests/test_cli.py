@@ -10,6 +10,8 @@ import numpy as np
 
 from gramsep import cli, densmat, sep, states
 
+import fixtures
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -98,6 +100,15 @@ def test_analyze_byte_identical(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, "analyze", path, "--seed", "7")
     _, out2, _ = run_cli(capsys, "analyze", path, "--seed", "7")
     assert out1 == out2
+
+
+def test_analyze_56_byte_identical_in_process():
+    rho, _ = fixtures.separable_56(1)
+    first, second = (json.dumps(cli.analyze_state(rho), sort_keys=True, default=float)
+                     for _ in range(2))
+    assert json.loads(first)["solver"]["method"] == "alpha_beta_grid"
+    assert json.loads(first)["verdict"] == "separable_certified"
+    assert first == second
 
 
 def test_tol_before_or_after_subcommand(tmp_path, capsys):

@@ -491,6 +491,19 @@ def test_balanced_subtraction_two_qubits():
     assert sub.rank_drop == 1
 
 
+def test_balanced_subtraction_kernel_walk_2x3():
+    """Rank-deficient states walk the in-range family along alpha."""
+    for seed in range(3):
+        rho, _ = states.random_separable(2, 3, 5, seed=seed)
+        assert densmat.rank_pattern(rho) == (5, 5)
+        e, f = balanced_subtraction_vector(rho, seed=seed)
+        pt = densmat.validate_density(densmat.partial_transpose(rho, "A"), 2, 3,
+                                      unnormalized=True)
+        wa = subtract_product_projector(rho, e, f).weight
+        wb = subtract_product_projector(pt, e.conj(), f).weight
+        assert abs(wa - wb) <= 1e-10
+
+
 def test_balanced_subtraction_reduction_chain_2x3():
     """Full 2x3 chain: balanced subtractions walk (6,6) -> (5,5) -> (4,4),
     an isolated equal-weight hit takes it to (3,3), and the rank-N

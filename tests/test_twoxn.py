@@ -250,6 +250,22 @@ def test_solve_56_separable():
         assert sd.k == 6
 
 
+def test_solve_56_polishes_separable_fixtures_to_rounding():
+    """The analytic-Jacobian descent takes the best grid cell of every
+    separable (5,6) fixture to a rounding-level completion, and the reported
+    (alpha, beta) rebuild its upper-right block R = Lam (alpha, beta)."""
+    for seed in range(10):
+        rho, _ = fixtures.separable_56(seed)
+        cf = canonical_form(rho)
+        ep = known_part(cf)
+        sol = solve_extension_56(ep)
+        assert sol.accepted
+        assert sol.normality_residual <= 1e-12
+        ab = np.array([sol.mixing["alpha"], sol.mixing["beta"]])
+        assert np.abs(sol.r_block - ep.lam @ ab[None, :]).max() <= 1e-12
+        extension_to_decomposition(cf, sol, rho)
+
+
 def test_solve_56_beta_zero_consistency():
     """A zero second factor row reduces the two coupled equations to the
     scalar-corner pair plus a spectator; the sphere search must find it."""
@@ -266,7 +282,7 @@ def test_solve_56_beta_zero_consistency():
 def test_solve_56_entangled_bounded_away():
     dm = fixtures.ppt56_state(0)
     assert dm is not None
-    sol = solve_extension_56(known_part(canonical_form(dm)), grid=(8, 8, 6))
+    sol = solve_extension_56(known_part(canonical_form(dm)))
     assert not sol.accepted
     assert sol.normality_residual > 1e-4
 
