@@ -400,30 +400,46 @@ def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
     return EdgeVerdict("edge", None, ())
 
 
-def _find_any_hit(rho: DensityMatrix, tol: float) -> ProductVectorHit | None:
-    """One witness on a continuum of product vectors: descend the smallest
-    singular value of the constraint stack from a handful of seeds."""
-    import scipy.optimize  # deferred: most of the package's import time
+# Seeds and step budget of the continuum witness search, _find_any_hit
+_HIT_SEEDS = (0j, 1 + 0j, 1j, -1 + 0j, 0.5 - 0.5j, 2 + 1j, -0.3 + 1.7j, 0.1 + 0.1j)
+_HIT_STEPS = 100
+_HIT_HALVINGS = 40
 
+
+def _find_any_hit(rho: DensityMatrix, tol: float) -> ProductVectorHit | None:
+    """One witness on a continuum of product vectors: drive the smallest
+    singular value s(alpha) of the constraint stack to zero from a handful
+    of seeds.  The smallest singular pair (u, v) gives the gradient
+    g = conj(u_k^dag psi1 v) + u_k'^dag phi1 v (as d/dRe + i d/dIm), and the
+    Newton step alpha -= s g / |g|^2, halved until s falls, lands on a
+    simple zero of s."""
     blocks = _row_blocks(rho)
+    k = blocks[0].shape[0]
 
     def smin(alpha):
         rows = _stack_rows(blocks, alpha)
         if rows.shape[0] < rho.dim_b:
-            return 0.0
-        return np.linalg.svd(rows, compute_uv=False)[-1]
+            return 0.0, 0j  # fewer constraints than unknowns: every alpha is a hit
+        u, svals, vh = np.linalg.svd(rows, full_matrices=False)
+        w, v = u[:, -1].conj(), vh[-1].conj()
+        grad = np.conj(w[:k] @ blocks[1] @ v) + w[k:] @ blocks[3] @ v
+        return svals[-1], grad
 
-    seeds = (0j, 1 + 0j, 1j, -1 + 0j, 0.5 - 0.5j, 2 + 1j, -0.3 + 1.7j, 0.1 + 0.1j)
-    for seed in seeds:
-        if smin(seed) <= tol:
-            hits = _validate_candidates(blocks, [(seed, False)], tol)
-            if hits:
-                return hits[0]
-        res = scipy.optimize.minimize(
-            lambda x: smin(complex(x[0], x[1])),
-            np.array([seed.real, seed.imag]), method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
-        hits = _validate_candidates(blocks, [(complex(res.x[0], res.x[1]), False)], tol)
+    for alpha in _HIT_SEEDS:
+        s, grad = smin(alpha)
+        for _ in range(_HIT_STEPS):
+            if s <= tol * 1e-6 or grad == 0:
+                break
+            step = s * grad / abs(grad) ** 2
+            for _ in range(_HIT_HALVINGS):
+                s_new, grad_new = smin(alpha - step)
+                if s_new < s:
+                    break
+                step /= 2
+            else:
+                break
+            alpha, s, grad = alpha - step, s_new, grad_new
+        hits = _validate_candidates(blocks, [(alpha, False)], tol)
         if hits:
             return hits[0]
     return None

@@ -16,6 +16,9 @@ factor constraints, normality and w_0n, and some U takes any admissible
 T = W Lamt (W an isometry) to [Lamt; 0], where the general solver pins it.
 Both searching solvers polish with one Levenberg-Marquardt descent on this
 pinned completion, started from random draws or from a (5,6) sphere scan.
+The descent is plain numpy: it stops on a vanishing gradient, step or
+decrease (each 1e-15 relative) or after 4000 residual evaluations, and the
+same start always gives the same completion.
 """
 
 from __future__ import annotations
@@ -407,13 +410,57 @@ def _pinned_completion(ep: ExtensionProblem):
     return start, blocks, residual, jacobian
 
 
-def _descend(residual, jacobian, x0) -> np.ndarray:
-    """Levenberg-Marquardt from x0 on a pinned-completion residual; returns x."""
-    import scipy.optimize  # deferred: most of the package's import time
+# Levenberg-Marquardt constants of :func:`_descend`
+_LM_TAU = 1e-3         # first damping, relative to max diag(J^T J)
+_LM_MU_MAX = 1e20      # damping cap, relative to max diag(J^T J)
+_LM_GTOL = 1e-15       # gradient stop, relative to max|J^T J|
+_LM_XTOL = 1e-15       # step stop, relative to |x|
+_LM_FTOL = 1e-15       # decrease stop, relative to |f|^2
+_LM_MAX_NFEV = 4000    # residual evaluations per descent
 
-    return scipy.optimize.least_squares(residual, x0, jac=jacobian, method="lm",
-                                        xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                        max_nfev=4000).x
+
+def _descend(residual, jacobian, x0) -> np.ndarray:
+    """Levenberg-Marquardt from x0 on a pinned-completion residual; returns x.
+
+    Each step solves (J^T J + mu I) dx = -J^T f; mu starts at _LM_TAU times
+    max diag(J^T J) and follows Nielsen's update (shrunk by the gain ratio
+    on an accepted step, grown by nu, then nu doubled, on a rejected one, up
+    to the cap _LM_MU_MAX).  The descent stops when max|J^T f| falls to
+    _LM_GTOL max|J^T J|, when |dx| falls to _LM_XTOL |x|, when an accepted
+    step lowers |f|^2 by at most _LM_FTOL of it, when the capped damping
+    still rejects a step, or after _LM_MAX_NFEV residual evaluations.
+    Plain numpy on fixed inputs, so the same x0 gives the same x even where
+    the U(q) gauge leaves J rank deficient; the damping keeps the step out
+    of J's null space.
+    """
+    x = np.array(x0, dtype=float)
+    f = residual(x)
+    cost, nfev = f @ f, 1
+    jac = jacobian(x)
+    jtj, grad = jac.T @ jac, jac.T @ f
+    mu, nu = _LM_TAU * jtj.diagonal().max(), 2.0
+    while nfev < _LM_MAX_NFEV and np.abs(grad).max() > _LM_GTOL * np.abs(jtj).max():
+        dx = np.linalg.solve(jtj + mu * np.eye(x.size), -grad)
+        if np.linalg.norm(dx) <= _LM_XTOL * (np.linalg.norm(x) + _LM_XTOL):
+            break
+        f_new = residual(x + dx)
+        nfev += 1
+        cost_new = f_new @ f_new
+        if cost_new < cost:
+            gain = (cost - cost_new) / (dx @ (mu * dx - grad))
+            mu, nu = mu * max(1 / 3, 1 - (2 * gain - 1) ** 3), 2.0
+            done = cost - cost_new <= _LM_FTOL * cost
+            x, f, cost = x + dx, f_new, cost_new
+            if done:
+                break
+            jac = jacobian(x)
+            jtj, grad = jac.T @ jac, jac.T @ f
+        else:
+            cap = _LM_MU_MAX * jtj.diagonal().max()
+            if mu >= cap:
+                break
+            mu, nu = min(mu * nu, cap), 2 * nu
+    return x
 
 
 def solve_extension_general(ep: ExtensionProblem, budget: int = 12, seed: int = 0,

@@ -257,10 +257,20 @@ def test_gen_random_deterministic(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the start-up time of a one-shot CLI call and
-    # only the solver paths need it
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = "import gramsep.cli, sys; print('scipy.optimize' in sys.modules)"
+    # the completion descents and the continuum witness search are numpy,
+    # so neither the import nor a solver analysis loads scipy, which would
+    # be most of the start-up time of a one-shot CLI call
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import sys",
+        "import fixtures",
+        "from gramsep import cli, states",
+        "general = cli.analyze_state(states.random_separable(2, 3, 5, seed=1)[0])",
+        "grid = cli.analyze_state(fixtures.separable_56(1)[0])",
+        "print(general['solver']['method'], grid['solver']['method'])",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert out.stdout.strip() == "False"
+                         env=env, check=True)
+    assert out.stdout.splitlines() == ["multistart_lm alpha_beta_grid", "[]"]

@@ -61,6 +61,17 @@ def test_edge_state_test_verdicts():
     assert ev.verdict == "not_edge" and len(ev.hits) == 5
 
 
+def test_find_any_hit_descends_onto_the_continuum(monkeypatch):
+    # Horodecki b = 1 has a product vector at every |alpha| = 1; from seeds
+    # off the unit circle the descent has to walk onto it
+    rho = states.horodecki97(1.0)
+    for seed in (0.5 - 0.5j, 2 + 1j, -0.3 + 1.7j, 0.1 + 0.1j):
+        monkeypatch.setattr(provec, "_HIT_SEEDS", (seed,))
+        hit = provec._find_any_hit(rho, 1e-8)
+        assert abs(abs(hit.alpha) - 1) < 1e-8
+        assert max(hit.residual_range, hit.residual_pt_range) <= 1e-8
+
+
 def test_edge_state_test_requires_ppt():
     with pytest.raises(densmat.InputError):
         edge_state_test(states.random_density(2, 4, 8, seed=0))

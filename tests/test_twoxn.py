@@ -355,6 +355,38 @@ def test_pinned_completion_jacobian_matches_central_differences():
     assert shapes == {(2, 2, 2), (1, 2, 2), (2, 1, 2)}
 
 
+def test_descend_is_deterministic_on_rank_deficient_jacobian():
+    # 40 residuals of 12 variables through 8 rotated coordinates: the
+    # Jacobian has a 4-dimensional null space off the coordinate axes, as
+    # the U(q) gauge gives the pinned completion.  There an LM whose step
+    # depends on pivoting ties or on memory layout can return different x
+    # for identical calls.  The target is off the model, so the descent runs
+    # to a stationary point below the planted noise.
+    rng = np.random.default_rng(1)
+    basis = np.linalg.qr(rng.normal(size=(12, 12)))[0][:, :8]
+    amat = rng.normal(size=(40, 8))
+    planted = amat @ np.sin(rng.normal(size=8))
+    noise = 0.05 * rng.normal(size=40)
+
+    def residual(x):
+        return amat @ np.sin(basis.T @ x) - planted - noise
+
+    def jacobian(x):
+        return (amat * np.cos(basis.T @ x)) @ basis.T
+
+    x0 = 0.3 * rng.normal(size=12)
+    xs = set()
+    for _ in range(50):
+        x = twoxn._descend(residual, jacobian, x0)
+        xs.add(x.tobytes())
+        herm = rng.normal(size=(160, 160))
+        np.linalg.eigh(herm + herm.T)  # moves the allocator between calls
+    assert len(xs) == 1
+    f, jac = residual(x), jacobian(x)
+    assert np.abs(jac.T @ f).max() <= 1e-7 * np.linalg.norm(jac) * np.linalg.norm(f)
+    assert np.linalg.norm(f) <= np.linalg.norm(noise)
+
+
 def test_general_solver_pins_t():
     for ep in _uneven_problems():
         sol = solve_extension_general(ep, budget=12, seed=0)
