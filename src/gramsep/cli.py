@@ -333,6 +333,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer flag that must be at least ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gramsep",
@@ -352,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full separability pipeline")
     p.add_argument("state", help="state JSON file")
     common(p)
-    p.add_argument("--budget", type=int, default=12, help="solver restarts")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=_int_at_least(1), default=12, help="solver restarts")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--strict", action="store_true", help="halve all tolerances")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical output)")
@@ -394,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_int_at_least(0), required=True)
     common(g)
     g.set_defaults(func=cmd_gen)
     g = gsub.add_parser("random")
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--r", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_int_at_least(0), required=True)
     common(g)
     g.set_defaults(func=cmd_gen)
 

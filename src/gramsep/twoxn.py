@@ -15,7 +15,8 @@ The completion has a U(q) gauge: conjugation by diag(I, U) keeps B, both
 factor constraints, normality and w_0n, and some U takes any admissible
 T = W Lamt (W an isometry) to [Lamt; 0], where the general solver pins it.
 Both searching solvers polish with one Levenberg-Marquardt descent on this
-pinned completion, started from random draws or from a (5,6) sphere scan.
+pinned completion, started from random draws or from the best cell of a
+(5,6) sphere scan, which fits and scores all its cells in one batched pass.
 The descent is plain numpy: it stops on a vanishing gradient, step or
 decrease (each 1e-15 relative) or after 4000 residual evaluations, and the
 same start always gives the same completion.
@@ -313,6 +314,64 @@ def _offdiag_block_lstsq(bmat, r, t, q):
 
 
 _GRID_56 = (12, 12, 8)  # theta, phi, gamma cells of the (5,6) sphere scan
+# bound on the scan's condition number above which its normal equations,
+# whose error grows as cond^2 eps, give way to a pseudo-inverse
+_SCAN_56_MAX_COND = 1e4
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_56_cells() -> np.ndarray:
+    """Unit vectors (alpha, beta) = (cos theta, sin theta e^{i phi}) e^{i gamma}
+    of the (5,6) sphere scan, one row per cell, theta slowest, gamma fastest."""
+    nth, nph, nga = _GRID_56
+    theta, phi, gamma = np.meshgrid(np.linspace(0, np.pi / 2, nth),
+                                    np.linspace(0, 2 * np.pi, nph, endpoint=False),
+                                    np.linspace(0, 2 * np.pi, nga, endpoint=False),
+                                    indexing="ij")
+    cells = np.stack([np.cos(theta) + 0j, np.sin(theta) * np.exp(1j * phi)], axis=-1)
+    cells = (cells * np.exp(1j * gamma)[..., None]).reshape(-1, 2)
+    cells.flags.writeable = False
+    return cells
+
+
+def _scan_56(ep: ExtensionProblem) -> int:
+    """Index of the first cell of :func:`_grid_56_cells` whose completion
+    [[B, R], [Lamt, S]], R = Lam (alpha, beta) and S fitted to the
+    off-diagonal equation as in :func:`_offdiag_block_lstsq`, has the least
+    normality residual.
+
+    Every cell in one batched pass.  S solves the normal equations of the
+    cell's real system, whose condition number is at most
+    (|Lam| + |Lamt|_2) / smin([Lam, Lamt^dag]) for every unit (alpha, beta);
+    above _SCAN_56_MAX_COND (a singular system included) a pseudo-inverse
+    gives the minimum-norm fit instead.
+    """
+    n, bmat, lvec, tmat = ep.n, ep.b, ep.lam[:, 0], ep.lam_tilde0
+    cells = _grid_56_cells()
+    r = lvec[:, None] * cells[:, None, :]
+    rhs = (bmat.conj().T @ lvec)[:, None] * cells[:, None, :] - bmat @ tmat.conj().T
+    rhs = rhs.reshape(len(cells), -1)
+    target = np.concatenate([rhs.real, rhs.imag], axis=1)[..., None]
+    # R E^dag = Lam (E* (alpha, beta))^T for each unit matrix E of the basis
+    basis = _unit_basis(2, 2)
+    e_ab = np.tensordot(cells, basis.conj(), axes=(1, 2))
+    eff = lvec[:, None] * e_ab[:, :, None, :] - tmat.conj().T @ basis
+    eff = eff.reshape(len(cells), len(basis), -1)
+    sys_t = np.concatenate([eff.real, eff.imag], axis=2)
+    top = np.linalg.norm(lvec) + np.linalg.norm(tmat, 2)
+    smin = np.linalg.svd(np.column_stack([lvec, tmat.conj().T]), compute_uv=False)[-1]
+    if top <= _SCAN_56_MAX_COND * smin:
+        coef = np.linalg.solve(sys_t @ sys_t.swapaxes(1, 2), sys_t @ target)
+    else:
+        coef = np.linalg.pinv(sys_t.swapaxes(1, 2)) @ target
+    m = np.zeros((len(cells), n + 2, n + 2), dtype=complex)
+    m[:, :n, :n] = bmat
+    m[:, :n, n:] = r
+    m[:, n:, :n] = tmat
+    m[:, n:, n:] = coef.reshape(len(cells), -1).view(complex).reshape(-1, 2, 2)
+    mh = m.conj().swapaxes(1, 2)
+    res = np.linalg.norm(m @ mh - mh @ m, axis=(1, 2)) / np.linalg.norm(m, axis=(1, 2)) ** 2
+    return int(np.argmin(res))
 
 
 def solve_extension_56(ep: ExtensionProblem, accept_tol: float = 1e-6) -> ExtensionSolution:
@@ -321,28 +380,16 @@ def solve_extension_56(ep: ExtensionProblem, accept_tol: float = 1e-6) -> Extens
     The two off-diagonal normality equations are real-linear in S for a fixed
     unit vector (alpha, beta), so we scan the sphere (relative phase included;
     the leftover overall phase cannot be gauged once the Lamt factor is
-    pinned) and solve each cell by least squares.  The best cell is the
-    pinned completion at z = conj((alpha, beta))^T, since T = Lamt here, and
-    the descent of :func:`solve_extension_general` polishes it over (z, S).
+    pinned), fitting S by least squares in every cell at once in one batched
+    pass (:func:`_scan_56`).  The best cell is the pinned completion at
+    z = conj((alpha, beta))^T, since T = Lamt here, and the descent of
+    :func:`solve_extension_general` polishes it over (z, S).
     """
     if ep.p != 1 or ep.p_tilde != 2:
         raise InputError(f"need (p, p~) = (1, 2), got ({ep.p}, {ep.p_tilde})")
     bmat = ep.b
     lvec = ep.lam[:, 0]
-    tmat = ep.lam_tilde0  # 2 x N
-
-    best_res, best_ab = None, None
-    nth, nph, nga = _GRID_56
-    for theta in np.linspace(0, np.pi / 2, nth):
-        for phi in np.linspace(0, 2 * np.pi, nph, endpoint=False):
-            for gamma in np.linspace(0, 2 * np.pi, nga, endpoint=False):
-                ab = (np.array([np.cos(theta), np.sin(theta) * np.exp(1j * phi)])
-                      * np.exp(1j * gamma))
-                r = lvec[:, None] * ab[None, :]
-                s = _offdiag_block_lstsq(bmat, r, tmat, 2)
-                res = sep.normality_residual(assemble(bmat, r, tmat, s))
-                if best_ab is None or res < best_res:
-                    best_res, best_ab = res, ab
+    best_ab = _grid_56_cells()[_scan_56(ep)]
 
     start, blocks, residual, jacobian = _pinned_completion(ep)
     x = _descend(residual, jacobian, start(best_ab.conj()[:, None]))

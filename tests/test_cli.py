@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gramsep import cli, densmat, sep, states
 
@@ -244,6 +245,22 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "analyze", path)
     assert code == 2
     assert "numerical failure" in err
+
+
+def test_negative_seed_and_budget_below_one_are_usage_errors(tmp_path, capsys):
+    path = write_state(tmp_path, "w.json", states.werner(0.2))
+    for argv in (["analyze", path, "--seed", "-1"],
+                 ["analyze", path, "--budget", "0"],
+                 ["analyze", path, "--budget", "-3"],
+                 ["gen", "random-separable", "--m", "2", "--n", "2", "--k", "2", "--seed", "-1"],
+                 ["gen", "random", "--m", "2", "--n", "3", "--r", "4", "--seed", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "analyze", path, "--seed", "0", "--budget", "1")
+    assert code == 0
+    assert json.loads(out)["solver"]["starts"] == 1
 
 
 def test_gen_random_deterministic(tmp_path, capsys):

@@ -266,17 +266,78 @@ def test_solve_56_polishes_separable_fixtures_to_rounding():
         extension_to_decomposition(cf, sol, rho)
 
 
-def test_solve_56_beta_zero_consistency():
-    """A zero second factor row reduces the two coupled equations to the
-    scalar-corner pair plus a spectator; the sphere search must find it."""
+def _beta_zero_problem():
+    """A (5,5) problem whose Lamt is padded with a zero second row."""
     rho, _ = states.random_separable(2, 4, 5, seed=11)
     assert densmat.rank_pattern(rho) == (5, 5)
     ep = known_part(canonical_form(rho))
-    padded = twoxn.ExtensionProblem(ep.b, ep.lam,
-                                    np.vstack([ep.lam_tilde0, np.zeros((1, 4))]))
-    sol = solve_extension_56(padded)
+    return twoxn.ExtensionProblem(ep.b, ep.lam,
+                                  np.vstack([ep.lam_tilde0, np.zeros((1, 4))]))
+
+
+def test_solve_56_beta_zero_consistency():
+    """A zero second factor row reduces the two coupled equations to the
+    scalar-corner pair plus a spectator; the sphere search must find it."""
+    sol = solve_extension_56(_beta_zero_problem())
     assert sol.accepted
     assert sol.normality_residual <= 1e-6
+
+
+def _scan_56_loop(ep):
+    """Reference: the per-cell sphere scan, one least-squares fit and one
+    normality residual per cell; returns (cell index, (alpha, beta))."""
+    bmat = ep.b
+    lvec = ep.lam[:, 0]
+    tmat = ep.lam_tilde0  # 2 x N
+
+    best_res, best_ab, best_cell, cell = None, None, None, 0
+    nth, nph, nga = twoxn._GRID_56
+    for theta in np.linspace(0, np.pi / 2, nth):
+        for phi in np.linspace(0, 2 * np.pi, nph, endpoint=False):
+            for gamma in np.linspace(0, 2 * np.pi, nga, endpoint=False):
+                ab = (np.array([np.cos(theta), np.sin(theta) * np.exp(1j * phi)])
+                      * np.exp(1j * gamma))
+                r = lvec[:, None] * ab[None, :]
+                s = twoxn._offdiag_block_lstsq(bmat, r, tmat, 2)
+                res = sep.normality_residual(assemble(bmat, r, tmat, s))
+                if best_ab is None or res < best_res:
+                    best_res, best_ab, best_cell = res, ab, cell
+                cell += 1
+    return best_cell, best_ab
+
+
+def test_scan_56_picks_the_cell_of_the_loop():
+    """The batched scan picks the per-cell loop's cell, ties included (the
+    beta-zero problem's theta = 0 row repeats each cell over phi, and its
+    real system is singular in every cell), so the solver's completion is
+    bitwise the one the loop's cell starts."""
+    problems = [known_part(canonical_form(fixtures.separable_56(seed)[0]))
+                for seed in range(10)]
+    problems += [known_part(canonical_form(dm)) for dm in map(fixtures.ppt56_state, range(12))
+                 if dm is not None]
+    problems.append(_beta_zero_problem())
+    for ep in problems:
+        cell, ab = _scan_56_loop(ep)
+        assert twoxn._scan_56(ep) == cell
+        assert np.array_equal(twoxn._grid_56_cells()[cell], ab)
+        start, blocks, residual, jacobian = twoxn._pinned_completion(ep)
+        x = twoxn._descend(residual, jacobian, start(ab.conj()[:, None]))
+        assert np.array_equal(solve_extension_56(ep).matrix, assemble(ep.b, *blocks(x)))
+
+
+def test_solve_56_fits_s_once(monkeypatch):
+    """The scan fits every cell in one batched pass; only the start of the
+    descent calls the single-problem fit."""
+    calls = []
+    fit = twoxn._offdiag_block_lstsq
+
+    def counted(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(twoxn, "_offdiag_block_lstsq", counted)
+    solve_extension_56(known_part(canonical_form(fixtures.separable_56(1)[0])))
+    assert len(calls) == 1
 
 
 def test_solve_56_entangled_bounded_away():
