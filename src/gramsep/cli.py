@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full separability pipeline")
     p.add_argument("state", help="state JSON file")
     common(p)
-    p.add_argument("--budget", type=_int_at_least(1), default=12, help="solver restarts")
+    p.add_argument("--budget", type=_int_at_least(1), default=12, help="solver starts")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--strict", action="store_true", help="halve all tolerances")
     p.add_argument("--timings", action="store_true",

@@ -14,12 +14,12 @@ certificate extraction of :mod:`gramsep.sep`.
 The completion has a U(q) gauge: conjugation by diag(I, U) keeps B, both
 factor constraints, normality and w_0n, and some U takes any admissible
 T = W Lamt (W an isometry) to [Lamt; 0], where the general solver pins it.
-Both searching solvers polish with one Levenberg-Marquardt descent on this
-pinned completion, started from random draws or from the best cell of a
-(5,6) sphere scan, which fits and scores all its cells in one batched pass.
-The descent is plain numpy: it stops on a vanishing gradient, step or
-decrease (each 1e-15 relative) or after 4000 residual evaluations, and the
-same start always gives the same completion.
+Both searching solvers polish with Levenberg-Marquardt on this pinned
+completion, from the best cell of a (5,6) sphere scan (all cells fitted and
+scored in one batched pass) or from V = [I; 0], then all random restarts at
+once as the lanes of one stacked descent.  It is plain numpy with fixed
+stops and a damping floor; a start gives the same completion, alone or in a
+stack.
 """
 
 from __future__ import annotations
@@ -204,13 +204,13 @@ class ExtensionSolution:
 
 def assemble(bmat: np.ndarray, r: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     n = bmat.shape[0]
-    q = s.shape[0]
-    m = np.zeros((n + q, n + q), dtype=complex)
-    m[:n, :n] = bmat
+    q = s.shape[-1]
+    m = np.zeros(s.shape[:-2] + (n + q, n + q), dtype=complex)  # a stack for stacked R, S
+    m[..., :n, :n] = bmat
     if q:
-        m[:n, n:] = r
-        m[n:, :n] = t
-        m[n:, n:] = s
+        m[..., :n, n:] = r
+        m[..., n:, :n] = t
+        m[..., n:, n:] = s
     return m
 
 
@@ -346,7 +346,7 @@ def _scan_56(ep: ExtensionProblem) -> int:
     above _SCAN_56_MAX_COND (a singular system included) a pseudo-inverse
     gives the minimum-norm fit instead.
     """
-    n, bmat, lvec, tmat = ep.n, ep.b, ep.lam[:, 0], ep.lam_tilde0
+    bmat, lvec, tmat = ep.b, ep.lam[:, 0], ep.lam_tilde0
     cells = _grid_56_cells()
     r = lvec[:, None] * cells[:, None, :]
     rhs = (bmat.conj().T @ lvec)[:, None] * cells[:, None, :] - bmat @ tmat.conj().T
@@ -364,11 +364,7 @@ def _scan_56(ep: ExtensionProblem) -> int:
         coef = np.linalg.solve(sys_t @ sys_t.swapaxes(1, 2), sys_t @ target)
     else:
         coef = np.linalg.pinv(sys_t.swapaxes(1, 2)) @ target
-    m = np.zeros((len(cells), n + 2, n + 2), dtype=complex)
-    m[:, :n, :n] = bmat
-    m[:, :n, n:] = r
-    m[:, n:, :n] = tmat
-    m[:, n:, n:] = coef.reshape(len(cells), -1).view(complex).reshape(-1, 2, 2)
+    m = assemble(bmat, r, tmat, coef.reshape(len(cells), -1).view(complex).reshape(-1, 2, 2))
     mh = m.conj().swapaxes(1, 2)
     res = np.linalg.norm(m @ mh - mh @ m, axis=(1, 2)) / np.linalg.norm(m, axis=(1, 2)) ** 2
     return int(np.argmin(res))
@@ -392,31 +388,38 @@ def solve_extension_56(ep: ExtensionProblem, accept_tol: float = 1e-6) -> Extens
     best_ab = _grid_56_cells()[_scan_56(ep)]
 
     start, blocks, residual, jacobian = _pinned_completion(ep)
-    x = _descend(residual, jacobian, start(best_ab.conj()[:, None]))
-    r, t, s = blocks(x)
+    x, nfev = _descend(residual, jacobian, start(best_ab.conj()[:, None])[None])
+    r, t, s = blocks(x[0])
     m = assemble(bmat, r, t, s)
     res = sep.normality_residual(m)
     alpha, beta = lvec.conj() @ r / (lvec.conj() @ lvec)
     return ExtensionSolution(m, s, r, t, res, float(np.linalg.norm(residual(x))),
                              res <= accept_tol, "alpha_beta_grid",
-                             {"alpha": alpha, "beta": beta})
+                             {"alpha": alpha, "beta": beta, "nfev": int(nfev[0])})
 
 
 def _pinned_completion(ep: ExtensionProblem):
     """[M, M^dag] for M = [[B, Lam Q(z)^dag], [[Lamt; 0], S]] as a residual in
     x = (z, S) viewed as floats, Q(z) the polar factor of a free q x p z.
     Returns (start, blocks, residual, jacobian): start(z) is x with S fitted
-    to the off-diagonal equation, blocks(x) is (R, T, S)."""
+    to the off-diagonal equation, blocks(x) is (R, T, S); residual and
+    jacobian take and give stacks, x of shape (lanes, n_x)."""
     n, p, q = ep.n, ep.p, ep.q
     t = np.vstack([ep.lam_tilde0, np.zeros((q - ep.p_tilde, n))]).astype(complex)
     dz, ds = _unit_basis(q, p), _unit_basis(q, q)
+    # z's directions as columns [i, (dir, j)]; dM's last q columns per dir
+    dz_cols = dz.transpose(1, 0, 2).reshape(q, -1)
+    d_fixed = np.zeros((1, len(dz) + len(ds), n + q, q), dtype=complex)
+    d_fixed[0, len(dz):, n:] = ds
 
     def split(x):
-        return x[:2 * q * p].view(complex).reshape(q, p), x[2 * q * p:].view(complex).reshape(q, q)
+        xc = x.view(complex)
+        return (xc[..., :q * p].reshape(*x.shape[:-1], q, p),
+                xc[..., q * p:].reshape(*x.shape[:-1], q, q))
 
     def r_block(z):
         u, _, vh = np.linalg.svd(z, full_matrices=False)
-        return ep.lam @ (u @ vh).conj().T
+        return ep.lam @ (u @ vh).conj().swapaxes(-1, -2)
 
     def start(z):
         s = _offdiag_block_lstsq(ep.b, r_block(z), t, q)
@@ -428,37 +431,42 @@ def _pinned_completion(ep: ExtensionProblem):
 
     def residual(x):
         m = assemble(ep.b, *blocks(x))
-        comm = m @ m.conj().T - m.conj().T @ m
-        return np.concatenate([comm.real.ravel(), comm.imag.ravel()])
+        mh = m.conj().swapaxes(1, 2)
+        return (m @ mh - mh @ m).view(float).reshape(len(x), -1)
 
     def jacobian(x):
-        """Columns d vec[M, M^dag] / dx, all directions in one batched pass.
+        """Columns d vec[M, M^dag] / dx, all lanes and directions in one pass.
 
         With dM = [[0, dR], [0, dS]], d[M, M^dag] = X + X^dag for
         X = dM M^dag - M^dag dM.  The polar factor of z = U Sig W^dag moves by
         dQ = (I - U U^dag) dz W Sig^-1 W^dag + U K W^dag, where
-        K_ij = (A_ij - conj(A_ji)) / (sig_i + sig_j) and A = U^dag dz W."""
+        K_ij = (A_ij - conj(A_ji)) / (sig_i + sig_j) and A = U^dag dz W.
+        Directions ride in a middle axis: one matrix product per lane."""
+        lanes = len(x)
         z, s = split(x)
         u, sig, wh = np.linalg.svd(z, full_matrices=False)
-        uh_dz = u.conj().T @ dz
-        a = uh_dz @ wh.conj().T
-        k = (a - a.conj().swapaxes(1, 2)) / (sig[:, None] + sig[None, :])
-        dq = (dz - u @ uh_dz) @ (wh.conj().T / sig) @ wh + u @ k @ wh
-        # dM is zero outside its last q columns D = [dR; dS]
-        d = np.zeros((len(dz) + len(ds), n + q, q), dtype=complex)
-        d[:len(dz), :n] = ep.lam @ dq.conj().swapaxes(1, 2)
-        d[len(dz):, n:] = ds
-        mh = assemble(ep.b, ep.lam @ (u @ wh).conj().T, t, s).conj().T
-        xm = d @ mh[n:]
-        xm[:, :, n:] -= mh @ d
-        dc = (xm + xm.conj().swapaxes(1, 2)).reshape(len(d), -1)
-        return np.concatenate([dc.real, dc.imag], axis=1).T
+        w = wh.conj().swapaxes(1, 2)
+        uh_dz = u.conj().swapaxes(1, 2) @ dz_cols
+        a = (uh_dz.reshape(lanes, -1, p) @ w).reshape(lanes, p, -1, p)
+        k = (a - a.conj().transpose(0, 3, 2, 1)) / (sig[:, :, None, None] + sig[:, None, None, :])
+        dq = ((dz_cols - u @ uh_dz).reshape(lanes, -1, p) @ (w / sig[:, None, :])
+              + (u @ k.reshape(lanes, p, -1)).reshape(lanes, -1, p)) @ wh
+        d = d_fixed.repeat(lanes, axis=0)
+        dr_h = (dq @ ep.lam.conj().T).reshape(lanes, q, -1, n)  # dR^dag = dQ Lam^dag
+        d[:, :len(dz), :n] = dr_h.conj().transpose(0, 2, 3, 1)
+        mh = assemble(ep.b, ep.lam @ (u @ wh).conj().swapaxes(1, 2), t, s).conj().swapaxes(1, 2)
+        xm = (d.reshape(lanes, -1, q) @ mh[:, n:]).reshape(lanes, -1, n + q, n + q)
+        mh_d = mh @ d.transpose(0, 2, 1, 3).reshape(lanes, n + q, -1)
+        xm[..., n:] -= mh_d.reshape(lanes, n + q, -1, q).transpose(0, 2, 1, 3)
+        dc = xm + xm.conj().swapaxes(2, 3)
+        return dc.view(float).reshape(lanes, len(d_fixed[0]), -1).swapaxes(1, 2)
 
     return start, blocks, residual, jacobian
 
 
 # Levenberg-Marquardt constants of :func:`_descend`
 _LM_TAU = 1e-3         # first damping, relative to max diag(J^T J)
+_LM_MU_MIN = 1e-150    # damping floor, relative to max diag(J^T J)
 _LM_MU_MAX = 1e20      # damping cap, relative to max diag(J^T J)
 _LM_GTOL = 1e-15       # gradient stop, relative to max|J^T J|
 _LM_XTOL = 1e-15       # step stop, relative to |x|
@@ -466,48 +474,78 @@ _LM_FTOL = 1e-15       # decrease stop, relative to |f|^2
 _LM_MAX_NFEV = 4000    # residual evaluations per descent
 
 
-def _descend(residual, jacobian, x0) -> np.ndarray:
-    """Levenberg-Marquardt from x0 on a pinned-completion residual; returns x.
+def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
+    """Levenberg-Marquardt on a pinned-completion residual from a stack of
+    starts x0, shape (lanes, n_x); returns x and the residual evaluations.
 
-    Each step solves (J^T J + mu I) dx = -J^T f; mu starts at _LM_TAU times
-    max diag(J^T J) and follows Nielsen's update (shrunk by the gain ratio
-    on an accepted step, grown by nu, then nu doubled, on a rejected one, up
-    to the cap _LM_MU_MAX).  The descent stops when max|J^T f| falls to
-    _LM_GTOL max|J^T J|, when |dx| falls to _LM_XTOL |x|, when an accepted
-    step lowers |f|^2 by at most _LM_FTOL of it, when the capped damping
-    still rejects a step, or after _LM_MAX_NFEV residual evaluations.
-    Plain numpy on fixed inputs, so the same x0 gives the same x even where
-    the U(q) gauge leaves J rank deficient; the damping keeps the step out
-    of J's null space.
+    Each step solves (J^T J + mu I) dx = -J^T f; mu starts at _LM_TAU max
+    diag(J^T J) and follows Nielsen's update (shrunk by the gain ratio on an
+    accepted step, floored at _LM_MU_MIN max diag(J^T J); times nu, nu
+    doubled, on a rejected one, capped at _LM_MU_MAX max diag(J^T J)); a
+    non-finite trial residual is a rejection.  A lane stops when max|J^T f|
+    falls to _LM_GTOL max|J^T J|, |dx| to _LM_XTOL |x| or an accepted
+    decrease of |f|^2 to _LM_FTOL of it, when the capped damping still
+    rejects, or after _LM_MAX_NFEV evaluations, and leaves the stack.  The
+    damping is plain floats per lane, so a lane steps as it would alone,
+    and the same x0 gives the same x even where the gauge makes J rank
+    deficient; the damping keeps the step out of J's null space.
     """
+    def dots(a, b):  # per lane, as floats
+        return (a[:, None] @ b[..., None]).ravel().tolist()
+
+    def normal_equations(x, f):  # J^T J, J^T f; max diag(J^T J), gradient stop
+        jac = jacobian(x)
+        jtj, grad = jac.swapaxes(1, 2) @ jac, jac.swapaxes(1, 2) @ f[..., None]
+        top = jtj.diagonal(axis1=1, axis2=2).max(axis=1)
+        return jtj, grad, top.tolist(), (~(np.abs(grad).max(axis=(1, 2)) > _LM_GTOL * top)).tolist()
+
     x = np.array(x0, dtype=float)
+    out, evals = np.empty_like(x), np.empty(len(x), dtype=int)
+    lanes, nfev = list(range(len(x))), 1  # nfev: evaluations of every live lane
     f = residual(x)
-    cost, nfev = f @ f, 1
-    jac = jacobian(x)
-    jtj, grad = jac.T @ jac, jac.T @ f
-    mu, nu = _LM_TAU * jtj.diagonal().max(), 2.0
-    while nfev < _LM_MAX_NFEV and np.abs(grad).max() > _LM_GTOL * np.abs(jtj).max():
-        dx = np.linalg.solve(jtj + mu * np.eye(x.size), -grad)
-        if np.linalg.norm(dx) <= _LM_XTOL * (np.linalg.norm(x) + _LM_XTOL):
-            break
-        f_new = residual(x + dx)
+    cost = dots(f, f)
+    jtj, grad, top, stop = normal_equations(x, f)
+    mu, nu = [_LM_TAU * t for t in top], [2.0] * len(x)
+    eye = np.eye(x.shape[1])
+    while True:
+        stop = [s or nfev >= _LM_MAX_NFEV for s in stop]
+        if any(stop):
+            done = [lane for lane, s in zip(lanes, stop) if s]
+            out[done], evals[done] = x[stop], nfev
+            keep = [i for i, s in enumerate(stop) if not s]
+            if not keep:
+                return out, evals
+            lanes, cost, top, mu, nu = ([a[i] for i in keep] for a in (lanes, cost, top, mu, nu))
+            x, f, jtj, grad = x[keep], f[keep], jtj[keep], grad[keep]
+        dx = np.linalg.solve(jtj + np.multiply.outer(mu, eye), -grad)[..., 0]
+        step = dots(dx, dx)
+        stop = [d <= (_LM_XTOL * (r ** 0.5 + _LM_XTOL)) ** 2 for d, r in zip(step, dots(x, x))]
+        if any(stop):
+            continue
+        x_new = x + dx
+        f_new = residual(x_new)
         nfev += 1
-        cost_new = f_new @ f_new
-        if cost_new < cost:
-            gain = (cost - cost_new) / (dx @ (mu * dx - grad))
-            mu, nu = mu * max(1 / 3, 1 - (2 * gain - 1) ** 3), 2.0
-            done = cost - cost_new <= _LM_FTOL * cost
-            x, f, cost = x + dx, f_new, cost_new
-            if done:
-                break
-            jac = jacobian(x)
-            jtj, grad = jac.T @ jac, jac.T @ f
-        else:
-            cap = _LM_MU_MAX * jtj.diagonal().max()
-            if mu >= cap:
-                break
-            mu, nu = min(mu * nu, cap), 2 * nu
-    return x
+        moved = []
+        for i, (c, c_new, slope) in enumerate(zip(cost, dots(f_new, f_new), dots(dx, grad[..., 0]))):
+            if c_new < c:  # never true of a non-finite trial residual
+                gain = (c - c_new) / (mu[i] * step[i] - slope)
+                mu[i] *= max(1 / 3, 1 - (2 * gain - 1) ** 3)
+                nu[i], cost[i], stop[i] = 2.0, c_new, c - c_new <= _LM_FTOL * c
+                moved.append(i)
+            else:
+                cap = _LM_MU_MAX * top[i]
+                stop[i] = mu[i] >= cap
+                mu[i], nu[i] = min(mu[i] * nu[i], cap), 2 * nu[i]
+        if len(moved) == len(lanes):
+            x, f = x_new, f_new
+        elif moved:
+            x[moved], f[moved] = x_new[moved], f_new[moved]
+        fresh = [i for i in moved if not stop[i]] if nfev < _LM_MAX_NFEV else []
+        if fresh:
+            sel = slice(None) if len(fresh) == len(lanes) else fresh
+            jtj[sel], grad[sel], new_top, flat = normal_equations(x[sel], f[sel])
+            for i, t, g in zip(fresh, new_top, flat):
+                top[i], stop[i], mu[i] = t, g, max(mu[i], _LM_MU_MIN * t)
 
 
 def solve_extension_general(ep: ExtensionProblem, budget: int = 12, seed: int = 0,
@@ -516,10 +554,13 @@ def solve_extension_general(ep: ExtensionProblem, budget: int = 12, seed: int = 
     """Minimize ||[M, M^dag]||_F over R = Lam V^dag, T = [Lamt; 0], S free.
 
     T is pinned by the U(q) gauge: diag(I, U) maps completions to completions
-    and takes any admissible T to [Lamt; 0].  Multi-start Levenberg-Marquardt
-    from V = [I; 0], then random perturbations, until a start reaches
-    ``target``; ``mixing["starts"]`` counts the starts that ran.  A vanishing
-    minimum certifies the completion; a nonzero one claims no nonexistence.
+    and takes any admissible T to [Lamt; 0].  Levenberg-Marquardt from
+    V = [I; 0]; if that misses ``target``, the other ``budget - 1`` starts,
+    random perturbations, descend as one stack, and the first at ``target``
+    is kept, else the least residual.  ``mixing`` has ``starts`` (1 or
+    ``budget``) and ``nfev``, the residual evaluations of all starts.  A
+    vanishing minimum certifies the completion; a nonzero one claims no
+    nonexistence.
     """
     n, p, q = ep.n, ep.p, ep.q
     if q == 0:
@@ -530,21 +571,21 @@ def solve_extension_general(ep: ExtensionProblem, budget: int = 12, seed: int = 
 
     rng = np.random.default_rng(seed)
     start, blocks, residual, jacobian = _pinned_completion(ep)
-    best_x, best_res, ran = None, np.inf, 0
-    while ran < max(budget, 1) and best_res > target:
-        z = np.eye(q, p, dtype=complex)
-        if ran:
-            z = z + rng.normal(size=(q, p)) + 1j * rng.normal(size=(q, p))
-        x = _descend(residual, jacobian, start(z))
-        ran += 1
-        res = sep.normality_residual(assemble(ep.b, *blocks(x)))
-        if res < best_res:
-            best_x, best_res = x, res
-
-    r, t, s = blocks(best_x)
-    return ExtensionSolution(assemble(ep.b, r, t, s), s, r, t, best_res,
-                             float(np.linalg.norm(residual(best_x))),
-                             best_res <= accept_tol, "multistart_lm", {"starts": ran})
+    z0 = np.eye(q, p, dtype=complex)
+    xs, nfev = _descend(residual, jacobian, start(z0)[None])
+    if sep.normality_residual(assemble(ep.b, *blocks(xs[0]))) > target and budget > 1:
+        zs = [z0 + rng.normal(size=(q, p)) + 1j * rng.normal(size=(q, p))
+              for _ in range(budget - 1)]
+        more = _descend(residual, jacobian, np.stack([start(z) for z in zs]))
+        xs, nfev = np.concatenate([xs, more[0]]), np.concatenate([nfev, more[1]])
+    ms = assemble(ep.b, *blocks(xs))
+    res = [sep.normality_residual(m) for m in ms]
+    best = next((i for i, r in enumerate(res) if r <= target), int(np.argmin(res)))
+    r, t, s = blocks(xs[best])
+    return ExtensionSolution(ms[best], s, r, t, res[best],
+                             float(np.linalg.norm(residual(xs[best:best + 1]))),
+                             res[best] <= accept_tol, "multistart_lm",
+                             {"starts": len(xs), "nfev": int(nfev.sum())})
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ def test_gen_and_analyze_separable_werner(tmp_path, capsys):
     assert rep["verdict"] == "separable_certified"
     assert rep["terms"] <= 4
     assert rep["solver"]["starts"] == 1
+    assert isinstance(rep["solver"]["nfev"], int) and rep["solver"]["nfev"] >= 1
     assert rep["residuals"]["certificate"] <= 1e-8
     # the embedded certificate is self-verifying
     cert = sep.certificate_from_json_dict(rep["certificate"])
@@ -110,6 +111,22 @@ def test_analyze_56_byte_identical_in_process():
     assert json.loads(first)["solver"]["method"] == "alpha_beta_grid"
     assert json.loads(first)["verdict"] == "separable_certified"
     assert first == second
+
+
+def test_analyze_survives_a_long_descent_with_vanishing_damping():
+    """A (5,6) Horodecki range mixture, built from ``bench/inputs.py``
+    (``ppt-2x4`` seed 1202, ``range-mix#9``): from the scan's best cell the
+    descent accepts over 2,000 steps, each shrinking the damping by 1/3, so
+    an unfloored damping underflows to 0 and turns NaN on the next
+    rejection.  With the floor the descent runs out its evaluations and the
+    state stays undecided."""
+    path = Path(__file__).with_name("range_mix_1202_9.json")
+    rho = densmat.state_from_json_dict(json.loads(path.read_text()))
+    report = cli.analyze_state(rho)
+    assert report["verdict"] == "ppt_undecided"
+    assert report["case"] == "(5,6)"
+    assert np.isfinite(report["solver"]["normality_residual"])
+    assert report["solver"]["nfev"] <= 4000
 
 
 def test_tol_before_or_after_subcommand(tmp_path, capsys):
