@@ -343,12 +343,20 @@ def _int_at_least(low: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for ``--tol``: a finite number above 0."""
+    value = float(text)
+    if not 0 < value < np.inf:  # NaN fails every comparison, so it fails here too
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gramsep",
         description="Separability analysis of bipartite density matrices via "
                     "Gram decompositions and normal-matrix completions.")
-    parser.add_argument("--tol", type=float, default=densmat.DEFAULT_TOL,
+    parser.add_argument("--tol", type=_tolerance, default=densmat.DEFAULT_TOL,
                         help="validation tolerance (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -356,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, help="write JSON here instead of stdout")
         # no default here: a subcommand default would override a --tol given
         # before the subcommand, so the top-level default is the only one
-        p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
+        p.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS,
                        help="validation tolerance (default 1e-9)")
 
     p = sub.add_parser("analyze", help="full separability pipeline")

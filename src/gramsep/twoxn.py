@@ -15,11 +15,11 @@ The completion has a U(q) gauge: conjugation by diag(I, U) keeps B, both
 factor constraints, normality and w_0n, and some U takes any admissible
 T = W Lamt (W an isometry) to [Lamt; 0], where the general solver pins it.
 Both searching solvers polish with Levenberg-Marquardt on this pinned
-completion, from the best cell of a (5,6) sphere scan (all cells fitted and
-scored in one batched pass) or from V = [I; 0], then all random restarts at
-once as the lanes of one stacked descent.  It is plain numpy with fixed
-stops and a damping floor; a start gives the same completion, alone or in a
-stack.
+completion, from the best cell of a (5,6) sphere scan (every cell fitted
+from its affine system and scored by blocks, none assembled) or from
+V = [I; 0], then all random restarts at once as the lanes of one stacked
+descent.  It is plain numpy with fixed stops and a damping floor; a start
+gives the same completion, alone or in a stack.
 """
 
 from __future__ import annotations
@@ -334,40 +334,53 @@ def _grid_56_cells() -> np.ndarray:
     return cells
 
 
-def _scan_56(ep: ExtensionProblem) -> int:
-    """Index of the first cell of :func:`_grid_56_cells` whose completion
-    [[B, R], [Lamt, S]], R = Lam (alpha, beta) and S fitted to the
-    off-diagonal equation as in :func:`_offdiag_block_lstsq`, has the least
-    normality residual.
+def _scan_56(ep: ExtensionProblem) -> tuple[int, np.ndarray]:
+    """Normality residual of the completion M = [[B, Lam c], [Lamt, S]] in
+    every cell c = (alpha, beta) of :func:`_grid_56_cells`, S fitted as in
+    :func:`_offdiag_block_lstsq`, and the index of the first least one.
 
-    Every cell in one batched pass.  S solves the normal equations of the
-    cell's real system, whose condition number is at most
-    (|Lam| + |Lamt|_2) / smin([Lam, Lamt^dag]) for every unit (alpha, beta);
-    above _SCAN_56_MAX_COND (a singular system included) a pseudo-inverse
-    gives the minimum-norm fit instead.
+    The fit's real system and target are affine in x = (1, c as floats), so
+    every cell's normal equations come from one product of the monomials
+    x_k x_l.  The systems' condition number is at most (|Lam| + |Lamt|_2) /
+    smin([Lam, Lamt^dag]) for every unit c; above _SCAN_56_MAX_COND (a
+    singular system included) a pseudo-inverse of the stacked systems fits
+    instead.  No M is assembled.  The blocks of [M, M^dag] are, top left,
+    D + (|c|^2 - 1) Lam Lam^dag with D the rounding of BB^dag - B^dag B +
+    Lam Lam^dag - Lamt^dag Lamt = 0; off the diagonal, the fit residual;
+    bottom right, Lamt Lamt^dag + SS^dag - S^dag S - |Lam|^2 conj(c) c^T.
     """
     bmat, lvec, tmat = ep.b, ep.lam[:, 0], ep.lam_tilde0
+    bh, th = bmat.conj().T, tmat.conj().T
     cells = _grid_56_cells()
-    r = lvec[:, None] * cells[:, None, :]
-    rhs = (bmat.conj().T @ lvec)[:, None] * cells[:, None, :] - bmat @ tmat.conj().T
-    rhs = rhs.reshape(len(cells), -1)
-    target = np.concatenate([rhs.real, rhs.imag], axis=1)[..., None]
-    # R E^dag = Lam (E* (alpha, beta))^T for each unit matrix E of the basis
+    x = np.column_stack([np.ones(len(cells)), cells.view(float)])
+    units = np.array([[0, 0], [1, 0], [1j, 0], [0, 1], [0, 1j]])  # c = x @ units
+    # R E^dag = Lam (E* c)^T for each unit matrix E of the basis
     basis = _unit_basis(2, 2)
-    e_ab = np.tensordot(cells, basis.conj(), axes=(1, 2))
-    eff = lvec[:, None] * e_ab[:, :, None, :] - tmat.conj().T @ basis
-    eff = eff.reshape(len(cells), len(basis), -1)
-    sys_t = np.concatenate([eff.real, eff.imag], axis=2)
+    eff = lvec[:, None] * np.tensordot(units, basis.conj(), axes=(1, 2))[:, :, None, :]
+    eff[0] -= th @ basis
+    rhs = (bh @ lvec)[:, None] * units[:, None, :]
+    rhs[0] -= bmat @ th
+    eff, rhs = eff.reshape(5, len(basis), -1), rhs.reshape(5, -1)
+    h, tt = (np.concatenate([a.real, a.imag], axis=-1) for a in (eff, rhs))
     top = np.linalg.norm(lvec) + np.linalg.norm(tmat, 2)
-    smin = np.linalg.svd(np.column_stack([lvec, tmat.conj().T]), compute_uv=False)[-1]
+    smin = np.linalg.svd(np.column_stack([lvec, th]), compute_uv=False)[-1]
     if top <= _SCAN_56_MAX_COND * smin:
-        coef = np.linalg.solve(sys_t @ sys_t.swapaxes(1, 2), sys_t @ target)
+        xx = (x[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+        hh = (h[:, None] @ h.swapaxes(1, 2)).reshape(25, -1)  # h[k] h[l]^T
+        coef = np.linalg.solve((xx @ hh).reshape(-1, 8, 8),
+                               (xx @ (h[:, None] @ tt[..., None]).reshape(25, -1))[..., None])
     else:
-        coef = np.linalg.pinv(sys_t.swapaxes(1, 2)) @ target
-    m = assemble(bmat, r, tmat, coef.reshape(len(cells), -1).view(complex).reshape(-1, 2, 2))
-    mh = m.conj().swapaxes(1, 2)
-    res = np.linalg.norm(m @ mh - mh @ m, axis=(1, 2)) / np.linalg.norm(m, axis=(1, 2)) ** 2
-    return int(np.argmin(res))
+        coef = np.linalg.pinv(np.tensordot(x, h, axes=1).swapaxes(1, 2)) @ (x @ tt)[..., None]
+    tr = x[:, None] @ ((coef[..., 0] @ np.hstack(h)).reshape(len(x), 5, -1) - tt)
+    s = coef.reshape(len(x), -1).view(complex).reshape(-1, 2, 2)
+    sh, l2, c2 = s.conj().swapaxes(1, 2), np.vdot(lvec, lvec).real, (x[:, 1:] ** 2).sum(1) - 1
+    d = bmat @ bh - bh @ bmat - th @ tmat + np.outer(lvec, lvec.conj())
+    br = tmat @ th + s @ sh - sh @ s - l2 * cells.conj()[:, :, None] * cells[:, None, :]
+    comm2 = (np.vdot(d, d).real + c2 * (2 * (lvec.conj() @ d @ lvec).real + c2 * l2 ** 2)
+             + 2 * (tr[:, 0] ** 2).sum(1) + (np.abs(br) ** 2).sum((1, 2)))
+    m2 = (np.vdot(bmat, bmat) + np.vdot(tmat, tmat)).real + l2 * (c2 + 1)
+    res = np.sqrt(comm2) / (m2 + (np.abs(s) ** 2).sum((1, 2)))
+    return int(np.argmin(res)), res
 
 
 def solve_extension_56(ep: ExtensionProblem, accept_tol: float = 1e-6) -> ExtensionSolution:
@@ -376,8 +389,9 @@ def solve_extension_56(ep: ExtensionProblem, accept_tol: float = 1e-6) -> Extens
     The two off-diagonal normality equations are real-linear in S for a fixed
     unit vector (alpha, beta), so we scan the sphere (relative phase included;
     the leftover overall phase cannot be gauged once the Lamt factor is
-    pinned), fitting S by least squares in every cell at once in one batched
-    pass (:func:`_scan_56`).  The best cell is the pinned completion at
+    pinned), fitting S by least squares in every cell at once
+    (:func:`_scan_56`).  The best cell, whose normality residual ``mixing``
+    holds as ``scan_residual``, is the pinned completion at
     z = conj((alpha, beta))^T, since T = Lamt here, and the descent of
     :func:`solve_extension_general` polishes it over (z, S).
     """
@@ -385,7 +399,8 @@ def solve_extension_56(ep: ExtensionProblem, accept_tol: float = 1e-6) -> Extens
         raise InputError(f"need (p, p~) = (1, 2), got ({ep.p}, {ep.p_tilde})")
     bmat = ep.b
     lvec = ep.lam[:, 0]
-    best_ab = _grid_56_cells()[_scan_56(ep)]
+    cell, scan = _scan_56(ep)
+    best_ab = _grid_56_cells()[cell]
 
     start, blocks, residual, jacobian = _pinned_completion(ep)
     x, nfev = _descend(residual, jacobian, start(best_ab.conj()[:, None])[None])
@@ -395,7 +410,8 @@ def solve_extension_56(ep: ExtensionProblem, accept_tol: float = 1e-6) -> Extens
     alpha, beta = lvec.conj() @ r / (lvec.conj() @ lvec)
     return ExtensionSolution(m, s, r, t, res, float(np.linalg.norm(residual(x))),
                              res <= accept_tol, "alpha_beta_grid",
-                             {"alpha": alpha, "beta": beta, "nfev": int(nfev[0])})
+                             {"alpha": alpha, "beta": beta, "nfev": int(nfev[0]),
+                              "scan_residual": float(scan[cell])})
 
 
 def _pinned_completion(ep: ExtensionProblem):

@@ -280,6 +280,25 @@ def test_negative_seed_and_budget_below_one_are_usage_errors(tmp_path, capsys):
     assert json.loads(out)["solver"]["starts"] == 1
 
 
+def test_tol_must_be_finite_and_positive(tmp_path, capsys):
+    """A NaN tolerance fails every comparison, which made a separable Werner
+    state read as NPT; a negative one failed as "not Hermitian".  Both, and
+    inf and 0, are usage errors before or after the subcommand."""
+    path = write_state(tmp_path, "w.json", states.werner(0.2))
+    for tol in ("nan", "inf", "-1", "0"):
+        for argv in (["--tol", tol, "analyze", path], ["analyze", path, "--tol", tol]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert "must be finite and above 0" in capsys.readouterr().err
+    for argv in (("--tol", "1e-7", "analyze", path), ("analyze", path, "--tol", "1e-7")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["tolerances"]["validation"] == 1e-7
+        assert rep["ppt"] and rep["verdict"] == "separable_certified"
+
+
 def test_gen_random_deterministic(tmp_path, capsys):
     _, out1, _ = run_cli(capsys, "gen", "random", "--m", "2", "--n", "3",
                          "--r", "4", "--seed", "11")

@@ -1,5 +1,8 @@
 """Canonical forms and the normal-extension solvers."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -285,12 +288,13 @@ def test_solve_56_beta_zero_consistency():
 
 def _scan_56_loop(ep):
     """Reference: the per-cell sphere scan, one least-squares fit and one
-    normality residual per cell; returns (cell index, (alpha, beta))."""
+    normality residual per cell; returns (cell index, (alpha, beta), every
+    cell's residual)."""
     bmat = ep.b
     lvec = ep.lam[:, 0]
     tmat = ep.lam_tilde0  # 2 x N
 
-    best_res, best_ab, best_cell, cell = None, None, None, 0
+    best_res, best_ab, best_cell, cell, scores = None, None, None, 0, []
     nth, nph, nga = twoxn._GRID_56
     for theta in np.linspace(0, np.pi / 2, nth):
         for phi in np.linspace(0, 2 * np.pi, nph, endpoint=False):
@@ -300,29 +304,37 @@ def _scan_56_loop(ep):
                 r = lvec[:, None] * ab[None, :]
                 s = twoxn._offdiag_block_lstsq(bmat, r, tmat, 2)
                 res = sep.normality_residual(assemble(bmat, r, tmat, s))
+                scores.append(res)
                 if best_ab is None or res < best_res:
                     best_res, best_ab, best_cell = res, ab, cell
                 cell += 1
-    return best_cell, best_ab
+    return best_cell, best_ab, np.array(scores)
 
 
 def test_scan_56_picks_the_cell_of_the_loop():
-    """The batched scan picks the per-cell loop's cell, ties included (the
-    beta-zero problem's theta = 0 row repeats each cell over phi, and its
-    real system is singular in every cell), so the solver's completion is
-    bitwise the one the loop's cell starts."""
+    """The batched scan scores every cell as the per-cell loop does and picks
+    its cell, ties included (the beta-zero problem's theta = 0 row repeats
+    each cell over phi, and its real system is singular in every cell), so
+    the solver's completion is bitwise the one the loop's cell starts."""
     problems = [known_part(canonical_form(fixtures.separable_56(seed)[0]))
-                for seed in range(10)]
+                for seed in range(20)]
     problems += [known_part(canonical_form(dm)) for dm in map(fixtures.ppt56_state, range(12))
                  if dm is not None]
     problems.append(_beta_zero_problem())
+    path = Path(__file__).with_name("range_mix_1202_9.json")
+    problems.append(known_part(canonical_form(
+        densmat.state_from_json_dict(json.loads(path.read_text())))))
     for ep in problems:
-        cell, ab = _scan_56_loop(ep)
-        assert twoxn._scan_56(ep) == cell
+        cell, ab, scores = _scan_56_loop(ep)
+        scan_cell, scan_scores = twoxn._scan_56(ep)
+        assert scan_cell == cell
+        assert np.all(np.abs(scan_scores - scores) <= 1e-10 * scores)
         assert np.array_equal(twoxn._grid_56_cells()[cell], ab)
         start, blocks, residual, jacobian = twoxn._pinned_completion(ep)
         x, _ = twoxn._descend(residual, jacobian, start(ab.conj()[:, None])[None])
-        assert np.array_equal(solve_extension_56(ep).matrix, assemble(ep.b, *blocks(x[0])))
+        sol = solve_extension_56(ep)
+        assert np.array_equal(sol.matrix, assemble(ep.b, *blocks(x[0])))
+        assert sol.mixing["scan_residual"] == scan_scores[cell]
 
 
 def test_solve_56_fits_s_once(monkeypatch):
