@@ -19,12 +19,16 @@ completion, from the best cell of a (5,6) sphere scan (every cell fitted
 from its affine system and scored by blocks, none assembled) or from
 V = [I; 0], then all random restarts at once as the lanes of one stacked
 descent.  It is plain numpy with fixed stops and a damping floor; a start
-gives the same completion, alone or in a stack.
+gives the same completion, alone or in a stack.  A lane whose |f|^2 has
+fallen by less than _LM_STALL = 1e-3 of itself over its last 10 residual
+evaluations stops, so a completion that does not exist is given up in a
+few dozen evaluations rather than the 4,000 of the cap.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,14 +326,16 @@ _SCAN_56_MAX_COND = 1e4
 @functools.lru_cache(maxsize=None)
 def _grid_56_cells() -> np.ndarray:
     """Unit vectors (alpha, beta) = (cos theta, sin theta e^{i phi}) e^{i gamma}
-    of the (5,6) sphere scan, one row per cell, theta slowest, gamma fastest."""
+    of the (5,6) sphere scan, one row per cell, theta slowest, gamma fastest.
+    At theta = 0 every phi gives the same cells, so only phi = 0 is kept."""
     nth, nph, nga = _GRID_56
     theta, phi, gamma = np.meshgrid(np.linspace(0, np.pi / 2, nth),
                                     np.linspace(0, 2 * np.pi, nph, endpoint=False),
                                     np.linspace(0, 2 * np.pi, nga, endpoint=False),
                                     indexing="ij")
     cells = np.stack([np.cos(theta) + 0j, np.sin(theta) * np.exp(1j * phi)], axis=-1)
-    cells = (cells * np.exp(1j * gamma)[..., None]).reshape(-1, 2)
+    cells = np.delete((cells * np.exp(1j * gamma)[..., None]).reshape(-1, 2),
+                      np.s_[nga:nph * nga], axis=0)
     cells.flags.writeable = False
     return cells
 
@@ -433,20 +439,28 @@ def _pinned_completion(ep: ExtensionProblem):
         return (xc[..., :q * p].reshape(*x.shape[:-1], q, p),
                 xc[..., q * p:].reshape(*x.shape[:-1], q, q))
 
-    def r_block(z):
-        u, _, vh = np.linalg.svd(z, full_matrices=False)
-        return ep.lam @ (u @ vh).conj().swapaxes(-1, -2)
+    def polar(z):  # the SVD of z and R = Lam Q(z)^dag
+        u, sig, vh = np.linalg.svd(z, full_matrices=False)
+        return (u, sig, vh), ep.lam @ (u @ vh).conj().swapaxes(-1, -2)
 
     def start(z):
-        s = _offdiag_block_lstsq(ep.b, r_block(z), t, q)
+        s = _offdiag_block_lstsq(ep.b, polar(z)[1], t, q)
         return np.concatenate([z.ravel(), s.ravel()]).view(float)
 
     def blocks(x):
         z, s = split(x)
-        return r_block(z), t, s
+        return polar(z)[1], t, s
+
+    # the last residual call's lanes by the bytes of their x, and its work:
+    # the SVD of z and M, which the Jacobian at the same x reuses
+    seen, work = {}, ()
 
     def residual(x):
-        m = assemble(ep.b, *blocks(x))
+        nonlocal seen, work
+        z, s = split(x)
+        svd, r = polar(z)
+        m = assemble(ep.b, r, t, s)
+        seen, work = {row.tobytes(): i for i, row in enumerate(x)}, (*svd, m)
         mh = m.conj().swapaxes(1, 2)
         return (m @ mh - mh @ m).view(float).reshape(len(x), -1)
 
@@ -457,10 +471,16 @@ def _pinned_completion(ep: ExtensionProblem):
         X = dM M^dag - M^dag dM.  The polar factor of z = U Sig W^dag moves by
         dQ = (I - U U^dag) dz W Sig^-1 W^dag + U K W^dag, where
         K_ij = (A_ij - conj(A_ji)) / (sig_i + sig_j) and A = U^dag dz W.
-        Directions ride in a middle axis: one matrix product per lane."""
+        Directions ride in a middle axis: one matrix product per lane.  If
+        the last residual call saw every lane's x, its SVD and M serve."""
         lanes = len(x)
         z, s = split(x)
-        u, sig, wh = np.linalg.svd(z, full_matrices=False)
+        idx = [seen.get(row.tobytes()) for row in x]
+        if None in idx:
+            (u, sig, wh), r = polar(z)
+            m = assemble(ep.b, r, t, s)
+        else:
+            u, sig, wh, m = (a[idx] for a in work)
         w = wh.conj().swapaxes(1, 2)
         uh_dz = u.conj().swapaxes(1, 2) @ dz_cols
         a = (uh_dz.reshape(lanes, -1, p) @ w).reshape(lanes, p, -1, p)
@@ -470,7 +490,7 @@ def _pinned_completion(ep: ExtensionProblem):
         d = d_fixed.repeat(lanes, axis=0)
         dr_h = (dq @ ep.lam.conj().T).reshape(lanes, q, -1, n)  # dR^dag = dQ Lam^dag
         d[:, :len(dz), :n] = dr_h.conj().transpose(0, 2, 3, 1)
-        mh = assemble(ep.b, ep.lam @ (u @ wh).conj().swapaxes(1, 2), t, s).conj().swapaxes(1, 2)
+        mh = m.conj().swapaxes(1, 2)
         xm = (d.reshape(lanes, -1, q) @ mh[:, n:]).reshape(lanes, -1, n + q, n + q)
         mh_d = mh @ d.transpose(0, 2, 1, 3).reshape(lanes, n + q, -1)
         xm[..., n:] -= mh_d.reshape(lanes, n + q, -1, q).transpose(0, 2, 1, 3)
@@ -488,6 +508,8 @@ _LM_GTOL = 1e-15       # gradient stop, relative to max|J^T J|
 _LM_XTOL = 1e-15       # step stop, relative to |x|
 _LM_FTOL = 1e-15       # decrease stop, relative to |f|^2
 _LM_MAX_NFEV = 4000    # residual evaluations per descent
+_LM_STALL = 1e-3       # stall stop: least decrease of |f|^2, relative to it, ...
+_LM_STALL_WINDOW = 10  # ... over this many residual evaluations
 
 
 def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
@@ -501,10 +523,15 @@ def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
     non-finite trial residual is a rejection.  A lane stops when max|J^T f|
     falls to _LM_GTOL max|J^T J|, |dx| to _LM_XTOL |x| or an accepted
     decrease of |f|^2 to _LM_FTOL of it, when the capped damping still
-    rejects, or after _LM_MAX_NFEV evaluations, and leaves the stack.  The
-    damping is plain floats per lane, so a lane steps as it would alone,
-    and the same x0 gives the same x even where the gauge makes J rank
-    deficient; the damping keeps the step out of J's null space.
+    rejects, when |f|^2 has stalled (fallen by less than _LM_STALL of itself
+    over its last _LM_STALL_WINDOW evaluations, rejected trials included),
+    or after _LM_MAX_NFEV evaluations, and leaves the stack.  Converging
+    lanes cut |f|^2 by far more than that per window; the stall stop ends
+    those heading for a nonzero minimum, which certify nothing.  The
+    damping and the history are plain floats per lane, so a lane steps as
+    it would alone, and the same x0 gives the same x even where the gauge
+    makes J rank deficient; the damping keeps the step out of J's null
+    space.
     """
     def dots(a, b):  # per lane, as floats
         return (a[:, None] @ b[..., None]).ravel().tolist()
@@ -520,6 +547,7 @@ def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
     lanes, nfev = list(range(len(x))), 1  # nfev: evaluations of every live lane
     f = residual(x)
     cost = dots(f, f)
+    past = [deque([c], maxlen=_LM_STALL_WINDOW + 1) for c in cost]  # |f|^2 per evaluation
     jtj, grad, top, stop = normal_equations(x, f)
     mu, nu = [_LM_TAU * t for t in top], [2.0] * len(x)
     eye = np.eye(x.shape[1])
@@ -531,7 +559,8 @@ def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
             keep = [i for i, s in enumerate(stop) if not s]
             if not keep:
                 return out, evals
-            lanes, cost, top, mu, nu = ([a[i] for i in keep] for a in (lanes, cost, top, mu, nu))
+            lanes, cost, top, mu, nu, past = ([a[i] for i in keep]
+                                              for a in (lanes, cost, top, mu, nu, past))
             x, f, jtj, grad = x[keep], f[keep], jtj[keep], grad[keep]
         dx = np.linalg.solve(jtj + np.multiply.outer(mu, eye), -grad)[..., 0]
         step = dots(dx, dx)
@@ -552,6 +581,9 @@ def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
                 cap = _LM_MU_MAX * top[i]
                 stop[i] = mu[i] >= cap
                 mu[i], nu[i] = min(mu[i] * nu[i], cap), 2 * nu[i]
+            past[i].append(cost[i])
+            if len(past[i]) > _LM_STALL_WINDOW and past[i][0] - cost[i] < _LM_STALL * past[i][0]:
+                stop[i] = True
         if len(moved) == len(lanes):
             x, f = x_new, f_new
         elif moved:

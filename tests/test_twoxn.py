@@ -289,7 +289,8 @@ def test_solve_56_beta_zero_consistency():
 def _scan_56_loop(ep):
     """Reference: the per-cell sphere scan, one least-squares fit and one
     normality residual per cell; returns (cell index, (alpha, beta), every
-    cell's residual)."""
+    cell's residual).  At theta = 0 only phi = 0 is scanned, since every phi
+    gives the same cells there."""
     bmat = ep.b
     lvec = ep.lam[:, 0]
     tmat = ep.lam_tilde0  # 2 x N
@@ -298,6 +299,8 @@ def _scan_56_loop(ep):
     nth, nph, nga = twoxn._GRID_56
     for theta in np.linspace(0, np.pi / 2, nth):
         for phi in np.linspace(0, 2 * np.pi, nph, endpoint=False):
+            if theta == 0 and phi > 0:
+                continue
             for gamma in np.linspace(0, 2 * np.pi, nga, endpoint=False):
                 ab = (np.array([np.cos(theta), np.sin(theta) * np.exp(1j * phi)])
                       * np.exp(1j * gamma))
@@ -313,9 +316,11 @@ def _scan_56_loop(ep):
 
 def test_scan_56_picks_the_cell_of_the_loop():
     """The batched scan scores every cell as the per-cell loop does and picks
-    its cell, ties included (the beta-zero problem's theta = 0 row repeats
-    each cell over phi, and its real system is singular in every cell), so
-    the solver's completion is bitwise the one the loop's cell starts."""
+    its cell, ties included (the beta-zero problem's real system is singular
+    in every cell), so the solver's completion is bitwise the one the loop's
+    cell starts.  No cell is scanned twice."""
+    cells = twoxn._grid_56_cells()
+    assert len(np.unique(cells, axis=0)) == len(cells)
     problems = [known_part(canonical_form(fixtures.separable_56(seed)[0]))
                 for seed in range(20)]
     problems += [known_part(canonical_form(dm)) for dm in map(fixtures.ppt56_state, range(12))
@@ -490,6 +495,17 @@ def test_general_solver_keeps_the_start_of_the_loop():
         assert np.array_equal(sol.matrix, matrix)
 
 
+def test_general_solver_certifies_a_slow_start_of_a_wider_stack():
+    """A separable (6,6) state that none of the default 12 starts certifies;
+    of 48, a start that converges slowly does, and the stall stop, which ends
+    only lanes whose |f|^2 has all but stopped falling, lets it finish."""
+    rho, _ = states.random_separable(2, 4, 6, seed=17)
+    sol = solve_extension_general(known_part(canonical_form(rho)), budget=48, seed=0)
+    assert sol.mixing["starts"] == 48
+    assert sol.accepted
+    assert sol.normality_residual <= 1e-12
+
+
 def test_descend_is_deterministic_on_rank_deficient_jacobian():
     # 40 residuals of 12 variables through 8 rotated coordinates: the
     # Jacobian has a 4-dimensional null space off the coordinate axes, as
@@ -535,6 +551,35 @@ def test_descend_rejects_a_non_finite_trial_residual():
     x, nfev = twoxn._descend(residual, jacobian, np.array([[4.0]]))
     assert abs(x[0, 0] - 0.25) <= 1e-12
     assert nfev[0] > 2
+
+
+def test_descend_stops_a_stalled_lane_at_a_nonzero_minimum():
+    # the polar factor x/|x| of a 2-vector pulled towards t, |t| < 1: the
+    # least |f|^2 is (1 - |t|)^2 > 0, at x along t, and x's radial direction
+    # is J's null space, as in the polar factor of the pinned completion.
+    # Each step halves the distance to the minimum; the lane stops once
+    # |f|^2 falls by less than _LM_STALL of itself over _LM_STALL_WINDOW
+    # evaluations, and not before.
+    t = np.array([0.3, 0.1])
+    costs = []
+
+    def residual(x):
+        f = x / np.linalg.norm(x, axis=1, keepdims=True) - t
+        costs.append(float(f[0] @ f[0]))
+        return f
+
+    def jacobian(x):
+        norm = np.linalg.norm(x, axis=1)[:, None, None]
+        u = x[:, :, None] / norm
+        return (np.eye(2) - u @ u.swapaxes(1, 2)) / norm
+
+    x, nfev = twoxn._descend(residual, jacobian, np.array([[1.0, -1.0]]))
+    assert nfev[0] == len(costs) <= 50
+    best, w = np.minimum.accumulate(costs), twoxn._LM_STALL_WINDOW
+    stalled = best[:-w] - best[w:] < twoxn._LM_STALL * best[:-w]
+    assert stalled[-1] and not stalled[:-1].any()
+    assert best[-1] - (1 - np.linalg.norm(t)) ** 2 <= 1e-6
+    assert np.linalg.norm(x[0] / np.linalg.norm(x[0]) - t / np.linalg.norm(t)) <= 1e-2
 
 
 def test_general_solver_pins_t():
