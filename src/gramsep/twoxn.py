@@ -15,14 +15,14 @@ The completion has a U(q) gauge: conjugation by diag(I, U) keeps B, both
 factor constraints, normality and w_0n, and some U takes any admissible
 T = W Lamt (W an isometry) to [Lamt; 0], where the general solver pins it.
 Both searching solvers polish with Levenberg-Marquardt on this pinned
-completion, from the best cell of a (5,6) sphere scan (every cell fitted
-from its affine system and scored by blocks, none assembled) or from
-V = [I; 0], then all random restarts at once as the lanes of one stacked
-descent.  It is plain numpy with fixed stops and a damping floor; a start
-gives the same completion, alone or in a stack.  A lane whose |f|^2 has
-fallen by less than _LM_STALL = 1e-3 of itself over its last 10 residual
-evaluations stops, so a completion that does not exist is given up in a
-few dozen evaluations rather than the 4,000 of the cap.
+completion, from the best cell of a (5,6) sphere scan (cells fitted from
+cached monomials and scored by blocks in closed form, none assembled) or
+from V = [I; 0], then all random restarts at once as the lanes of one
+stacked descent.  It is plain numpy with fixed stops and a damping floor;
+a start gives the same completion, alone or in a stack.  A lane whose
+|f|^2 has fallen by less than _LM_STALL = 1e-3 of itself over its last 10
+residual evaluations stops, so a completion that does not exist is given
+up in a few dozen evaluations rather than the 4,000 of the cap.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class CanonicalForm2xN:
     def p_tilde(self) -> int | None:
         return None if self.lam_tilde is None else self.lam_tilde.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return self.n + self.p
-
 
 def canonical_form(rho: DensityMatrix, sing_tol: float = 1e-12,
                    rank_tol: float = densmat.RANK_TOL) -> CanonicalForm2xN:
@@ -200,10 +196,6 @@ class ExtensionSolution:
     accepted: bool
     method: str
     mixing: dict
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[0]
 
 
 def assemble(bmat: np.ndarray, r: np.ndarray, t: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -340,6 +332,15 @@ def _grid_56_cells() -> np.ndarray:
     return cells
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_56_monomials() -> tuple[np.ndarray, np.ndarray]:
+    """x = (1, c as floats) and x_k x_l per cell c of :func:`_grid_56_cells`."""
+    x = np.column_stack([np.ones(len(_grid_56_cells())), _grid_56_cells().view(float)])
+    xx = (x[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+    x.flags.writeable = xx.flags.writeable = False
+    return x, xx
+
+
 def _scan_56(ep: ExtensionProblem) -> tuple[int, np.ndarray]:
     """Normality residual of the completion M = [[B, Lam c], [Lamt, S]] in
     every cell c = (alpha, beta) of :func:`_grid_56_cells`, S fitted as in
@@ -347,18 +348,19 @@ def _scan_56(ep: ExtensionProblem) -> tuple[int, np.ndarray]:
 
     The fit's real system and target are affine in x = (1, c as floats), so
     every cell's normal equations come from one product of the monomials
-    x_k x_l.  The systems' condition number is at most (|Lam| + |Lamt|_2) /
-    smin([Lam, Lamt^dag]) for every unit c; above _SCAN_56_MAX_COND (a
-    singular system included) a pseudo-inverse of the stacked systems fits
-    instead.  No M is assembled.  The blocks of [M, M^dag] are, top left,
-    D + (|c|^2 - 1) Lam Lam^dag with D the rounding of BB^dag - B^dag B +
-    Lam Lam^dag - Lamt^dag Lamt = 0; off the diagonal, the fit residual;
-    bottom right, Lamt Lamt^dag + SS^dag - S^dag S - |Lam|^2 conj(c) c^T.
+    x_k x_l, cached with x (:func:`_grid_56_monomials`).  The condition number
+    is at most (|Lam| + |Lamt|_2) / smin([Lam, Lamt^dag]) for every unit c;
+    above _SCAN_56_MAX_COND (a singular system included) a pseudo-inverse of
+    the stacked systems fits instead.  No M is assembled.  The blocks of
+    [M, M^dag] are, top left, D + (|c|^2 - 1) Lam Lam^dag with D the rounding
+    of BB^dag - B^dag B + Lam Lam^dag - Lamt^dag Lamt = 0; off the diagonal,
+    the fit residual, one product over monomials and directions of S; bottom
+    right, Lamt Lamt^dag + SS^dag - S^dag S - |Lam|^2 conj(c) c^T, in closed
+    form from the four entries of S.
     """
     bmat, lvec, tmat = ep.b, ep.lam[:, 0], ep.lam_tilde0
     bh, th = bmat.conj().T, tmat.conj().T
-    cells = _grid_56_cells()
-    x = np.column_stack([np.ones(len(cells)), cells.view(float)])
+    cells, (x, xx) = _grid_56_cells(), _grid_56_monomials()
     units = np.array([[0, 0], [1, 0], [1j, 0], [0, 1], [0, 1j]])  # c = x @ units
     # R E^dag = Lam (E* c)^T for each unit matrix E of the basis
     basis = _unit_basis(2, 2)
@@ -371,21 +373,24 @@ def _scan_56(ep: ExtensionProblem) -> tuple[int, np.ndarray]:
     top = np.linalg.norm(lvec) + np.linalg.norm(tmat, 2)
     smin = np.linalg.svd(np.column_stack([lvec, th]), compute_uv=False)[-1]
     if top <= _SCAN_56_MAX_COND * smin:
-        xx = (x[:, :, None] * x[:, None, :]).reshape(len(x), -1)
         hh = (h[:, None] @ h.swapaxes(1, 2)).reshape(25, -1)  # h[k] h[l]^T
         coef = np.linalg.solve((xx @ hh).reshape(-1, 8, 8),
                                (xx @ (h[:, None] @ tt[..., None]).reshape(25, -1))[..., None])
     else:
         coef = np.linalg.pinv(np.tensordot(x, h, axes=1).swapaxes(1, 2)) @ (x @ tt)[..., None]
-    tr = x[:, None] @ ((coef[..., 0] @ np.hstack(h)).reshape(len(x), 5, -1) - tt)
-    s = coef.reshape(len(x), -1).view(complex).reshape(-1, 2, 2)
-    sh, l2, c2 = s.conj().swapaxes(1, 2), np.vdot(lvec, lvec).real, (x[:, 1:] ** 2).sum(1) - 1
+    coef = coef[..., 0]
+    tr = (x[:, :, None] * coef[:, None]).reshape(len(x), -1) @ h.reshape(-1, h.shape[-1]) - x @ tt
+    s, s2 = coef.view(complex), (coef ** 2).reshape(-1, 4, 2).sum(2)  # S row-major, |S_ij|^2
+    ab2, l2 = (x[:, 1:] ** 2).reshape(-1, 2, 2).sum(2), np.vdot(lvec, lvec).real
+    c2, g, skew = ab2.sum(1) - 1, tmat @ th, s[:, 0] - s[:, 3]
     d = bmat @ bh - bh @ bmat - th @ tmat + np.outer(lvec, lvec.conj())
-    br = tmat @ th + s @ sh - sh @ s - l2 * cells.conj()[:, :, None] * cells[:, None, :]
+    br_diag = g.diagonal().real + np.multiply.outer(s2[:, 1] - s2[:, 2], [1, -1]) - l2 * ab2
+    br_off = (g[0, 1] + skew * s[:, 2].conj() - s[:, 1] * skew.conj()
+              - l2 * cells[:, 0].conj() * cells[:, 1])
     comm2 = (np.vdot(d, d).real + c2 * (2 * (lvec.conj() @ d @ lvec).real + c2 * l2 ** 2)
-             + 2 * (tr[:, 0] ** 2).sum(1) + (np.abs(br) ** 2).sum((1, 2)))
+             + 2 * (tr ** 2).sum(1) + (br_diag ** 2).sum(1) + 2 * np.abs(br_off) ** 2)
     m2 = (np.vdot(bmat, bmat) + np.vdot(tmat, tmat)).real + l2 * (c2 + 1)
-    res = np.sqrt(comm2) / (m2 + (np.abs(s) ** 2).sum((1, 2)))
+    res = np.sqrt(comm2) / (m2 + s2.sum(1))
     return int(np.argmin(res)), res
 
 
@@ -428,7 +433,7 @@ def _pinned_completion(ep: ExtensionProblem):
     jacobian take and give stacks, x of shape (lanes, n_x)."""
     n, p, q = ep.n, ep.p, ep.q
     t = np.vstack([ep.lam_tilde0, np.zeros((q - ep.p_tilde, n))]).astype(complex)
-    dz, ds = _unit_basis(q, p), _unit_basis(q, q)
+    dz, ds, lam_h = _unit_basis(q, p), _unit_basis(q, q), ep.lam.conj().T
     # z's directions as columns [i, (dir, j)]; dM's last q columns per dir
     dz_cols = dz.transpose(1, 0, 2).reshape(q, -1)
     d_fixed = np.zeros((1, len(dz) + len(ds), n + q, q), dtype=complex)
@@ -472,7 +477,7 @@ def _pinned_completion(ep: ExtensionProblem):
         dQ = (I - U U^dag) dz W Sig^-1 W^dag + U K W^dag, where
         K_ij = (A_ij - conj(A_ji)) / (sig_i + sig_j) and A = U^dag dz W.
         Directions ride in a middle axis: one matrix product per lane.  If
-        the last residual call saw every lane's x, its SVD and M serve."""
+        the last residual call saw every lane's x, its SVD and M serve, uncopied in its order."""
         lanes = len(x)
         z, s = split(x)
         idx = [seen.get(row.tobytes()) for row in x]
@@ -480,7 +485,7 @@ def _pinned_completion(ep: ExtensionProblem):
             (u, sig, wh), r = polar(z)
             m = assemble(ep.b, r, t, s)
         else:
-            u, sig, wh, m = (a[idx] for a in work)
+            u, sig, wh, m = work if idx == list(range(len(work[0]))) else (a[idx] for a in work)
         w = wh.conj().swapaxes(1, 2)
         uh_dz = u.conj().swapaxes(1, 2) @ dz_cols
         a = (uh_dz.reshape(lanes, -1, p) @ w).reshape(lanes, p, -1, p)
@@ -488,7 +493,7 @@ def _pinned_completion(ep: ExtensionProblem):
         dq = ((dz_cols - u @ uh_dz).reshape(lanes, -1, p) @ (w / sig[:, None, :])
               + (u @ k.reshape(lanes, p, -1)).reshape(lanes, -1, p)) @ wh
         d = d_fixed.repeat(lanes, axis=0)
-        dr_h = (dq @ ep.lam.conj().T).reshape(lanes, q, -1, n)  # dR^dag = dQ Lam^dag
+        dr_h = (dq @ lam_h).reshape(lanes, q, -1, n)  # dR^dag = dQ Lam^dag
         d[:, :len(dz), :n] = dr_h.conj().transpose(0, 2, 3, 1)
         mh = m.conj().swapaxes(1, 2)
         xm = (d.reshape(lanes, -1, q) @ mh[:, n:]).reshape(lanes, -1, n + q, n + q)
@@ -521,17 +526,17 @@ def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
     accepted step, floored at _LM_MU_MIN max diag(J^T J); times nu, nu
     doubled, on a rejected one, capped at _LM_MU_MAX max diag(J^T J)); a
     non-finite trial residual is a rejection.  A lane stops when max|J^T f|
-    falls to _LM_GTOL max|J^T J|, |dx| to _LM_XTOL |x| or an accepted
-    decrease of |f|^2 to _LM_FTOL of it, when the capped damping still
-    rejects, when |f|^2 has stalled (fallen by less than _LM_STALL of itself
-    over its last _LM_STALL_WINDOW evaluations, rejected trials included),
-    or after _LM_MAX_NFEV evaluations, and leaves the stack.  Converging
-    lanes cut |f|^2 by far more than that per window; the stall stop ends
-    those heading for a nonzero minimum, which certify nothing.  The
-    damping and the history are plain floats per lane, so a lane steps as
-    it would alone, and the same x0 gives the same x even where the gauge
-    makes J rank deficient; the damping keeps the step out of J's null
-    space.
+    falls to _LM_GTOL max|J^T J|, |dx| to _LM_XTOL |x| (dx = 0 where the
+    damped system is exactly singular, once mu is below its rounding) or an
+    accepted decrease of |f|^2 to _LM_FTOL of it, when the capped damping
+    still rejects, when |f|^2 has stalled (fallen by less than _LM_STALL of
+    itself over its last _LM_STALL_WINDOW evaluations, rejected trials
+    included), or after _LM_MAX_NFEV evaluations, and leaves the stack.
+    Converging lanes cut |f|^2 by far more than that per window; the stall
+    stop ends those heading for a nonzero minimum, which certify nothing.
+    The damping and the history are plain floats per lane, so a lane steps
+    as it would alone, and the same x0 gives the same x even where the gauge
+    makes J rank deficient; the damping keeps the step out of J's null space.
     """
     def dots(a, b):  # per lane, as floats
         return (a[:, None] @ b[..., None]).ravel().tolist()
@@ -562,7 +567,12 @@ def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
             lanes, cost, top, mu, nu, past = ([a[i] for i in keep]
                                               for a in (lanes, cost, top, mu, nu, past))
             x, f, jtj, grad = x[keep], f[keep], jtj[keep], grad[keep]
-        dx = np.linalg.solve(jtj + np.multiply.outer(mu, eye), -grad)[..., 0]
+        damped = jtj + np.multiply.outer(mu, eye)
+        try:
+            dx = np.linalg.solve(damped, -grad)[..., 0]
+        except np.linalg.LinAlgError:  # a lane with an exactly singular system takes no step
+            dx, regular = np.zeros_like(x), np.linalg.slogdet(damped)[0] != 0
+            dx[regular] = np.linalg.solve(damped[regular], -grad[regular])[..., 0]
         step = dots(dx, dx)
         stop = [d <= (_LM_XTOL * (r ** 0.5 + _LM_XTOL)) ** 2 for d, r in zip(step, dots(x, x))]
         if any(stop):

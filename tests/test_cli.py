@@ -115,12 +115,12 @@ def test_analyze_56_byte_identical_in_process():
 
 def test_analyze_survives_a_long_descent_with_vanishing_damping():
     """A (5,6) Horodecki range mixture, built from ``bench/inputs.py``
-    (``ppt-2x4`` seed 1202, ``range-mix#9``).  From the scan's best cell,
-    without the stall stop, the descent accepts over 2,000 steps, each
-    shrinking the damping by 1/3, so an unfloored damping underflows to 0
-    and turns NaN on the next rejection.  The stall stop ends it within a
-    few dozen evaluations, once |f|^2 has all but stopped falling, and the
-    state stays undecided."""
+    (``ppt-2x4`` seed 1202, ``range-mix#9``).  From the scan's best cell the
+    descent heads for a nonzero minimum, and the stall stop ends it within
+    a few dozen evaluations, once |f|^2 has all but stopped falling; the
+    state stays undecided.  Without the stall stop it would run to the
+    4,000-evaluation cap on the damping floor, which
+    ``test_twoxn.py::test_descend_survives_a_vanishing_damping`` covers."""
     path = Path(__file__).with_name("range_mix_1202_9.json")
     rho = densmat.state_from_json_dict(json.loads(path.read_text()))
     report = cli.analyze_state(rho)

@@ -342,6 +342,20 @@ def test_scan_56_picks_the_cell_of_the_loop():
         assert sol.mixing["scan_residual"] == scan_scores[cell]
 
 
+def test_scan_56_monomials_are_cached_read_only():
+    """Every problem's scan shares the cells and their monomials x = (1, c
+    as floats) and x_k x_l; none of them can be written through."""
+    cells = twoxn._grid_56_cells()
+    x, xx = twoxn._grid_56_monomials()
+    assert twoxn._grid_56_monomials() == (x, xx)
+    assert np.array_equal(x, np.column_stack([np.ones(len(cells)), cells.view(float)]))
+    assert np.array_equal(xx, np.einsum("ck,cl->ckl", x, x).reshape(len(x), -1))
+    for a in (cells, x, xx):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_solve_56_fits_s_once(monkeypatch):
     """The scan fits every cell in one batched pass; only the start of the
     descent calls the single-problem fit."""
@@ -433,6 +447,28 @@ def test_pinned_completion_jacobian_matches_central_differences():
                                   for e in np.eye(x.shape[1])])
             assert np.linalg.norm(jac[lane] - fd) <= 1e-6 * np.linalg.norm(fd)
     assert shapes == {(2, 2, 2), (1, 2, 2), (2, 1, 2)}
+
+
+def test_pinned_completion_jacobian_is_the_same_on_every_branch(monkeypatch):
+    """The Jacobian takes the last residual call's SVD and M as they are when
+    the lanes come in that call's order, indexes them for a subset or a
+    permutation of its lanes, and recomputes them for lanes it did not see;
+    all three give the same J, bit for bit."""
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    for ep in _uneven_problems():
+        _, _, residual, jacobian = twoxn._pinned_completion(ep)
+        x = np.random.default_rng(ep.p).normal(size=(4, 2 * ep.q * (ep.p + ep.q)))
+        residual(x)
+        svds.clear()
+        in_order = jacobian(x)
+        assert np.array_equal(jacobian(x[[2, 0]]), in_order[[2, 0]])
+        assert np.array_equal(jacobian(x[::-1]), in_order[::-1])
+        assert not svds
+        residual(x[1:2] + 1)
+        assert np.array_equal(jacobian(x), in_order)
+        assert len(svds) == 2
 
 
 def _lane_starts(ep, lanes, seed):
@@ -580,6 +616,42 @@ def test_descend_stops_a_stalled_lane_at_a_nonzero_minimum():
     assert stalled[-1] and not stalled[:-1].any()
     assert best[-1] - (1 - np.linalg.norm(t)) ** 2 <= 1e-6
     assert np.linalg.norm(x[0] / np.linalg.norm(x[0]) - t / np.linalg.norm(t)) <= 1e-2
+
+
+def test_descend_survives_a_vanishing_damping(monkeypatch):
+    """Without the stall stop the damping shrinks on every accepted step.
+    On the polar-factor toy above it falls below the rounding of
+    diag(J^T J) within 33 evaluations, so J^T J + mu I is exactly singular
+    on J's null space: that lane takes no step, which stops it, and the
+    other lane of the stack steps on as it would alone.  On the (5,6) range
+    mixture of ``range_mix_1202_9.json`` the damping sits at its floor
+    _LM_MU_MIN max diag(J^T J) for over a thousand steps, and the descent
+    runs to the evaluation cap with a finite x."""
+    monkeypatch.setattr(twoxn, "_LM_STALL", 0.0)
+    t = np.array([0.3, 0.1])
+
+    def residual(x):
+        return x / np.linalg.norm(x, axis=1, keepdims=True) - t
+
+    def jacobian(x):
+        norm = np.linalg.norm(x, axis=1)[:, None, None]
+        u = x[:, :, None] / norm
+        return (np.eye(2) - u @ u.swapaxes(1, 2)) / norm
+
+    x0 = np.array([[1.0, -1.0], [2.0, 0.5]])
+    x, nfev = twoxn._descend(residual, jacobian, x0)
+    assert np.isfinite(x).all() and nfev.max() < twoxn._LM_MAX_NFEV
+    cost = (residual(x) ** 2).sum(axis=1)
+    assert np.all(cost - (1 - np.linalg.norm(t)) ** 2 <= 1e-9)
+    for lane in range(2):
+        alone, alone_nfev = twoxn._descend(residual, jacobian, x0[lane:lane + 1])
+        assert np.array_equal(x[lane], alone[0]) and nfev[lane] == alone_nfev[0]
+
+    path = Path(__file__).with_name("range_mix_1202_9.json")
+    ep = known_part(canonical_form(densmat.state_from_json_dict(json.loads(path.read_text()))))
+    sol = solve_extension_56(ep)
+    assert sol.mixing["nfev"] == twoxn._LM_MAX_NFEV
+    assert np.isfinite(sol.matrix).all() and np.isfinite(sol.normality_residual)
 
 
 def test_general_solver_pins_t():
