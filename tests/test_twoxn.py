@@ -589,6 +589,13 @@ def test_descend_rejects_a_non_finite_trial_residual():
     assert nfev[0] > 2
 
 
+def _polar_jacobian(x):
+    """d(x/|x|)/dx for each lane's vector x."""
+    norm = np.linalg.norm(x, axis=1)[:, None, None]
+    u = x[:, :, None] / norm
+    return (np.eye(x.shape[1]) - u @ u.swapaxes(1, 2)) / norm
+
+
 def test_descend_stops_a_stalled_lane_at_a_nonzero_minimum():
     # the polar factor x/|x| of a 2-vector pulled towards t, |t| < 1: the
     # least |f|^2 is (1 - |t|)^2 > 0, at x along t, and x's radial direction
@@ -604,12 +611,7 @@ def test_descend_stops_a_stalled_lane_at_a_nonzero_minimum():
         costs.append(float(f[0] @ f[0]))
         return f
 
-    def jacobian(x):
-        norm = np.linalg.norm(x, axis=1)[:, None, None]
-        u = x[:, :, None] / norm
-        return (np.eye(2) - u @ u.swapaxes(1, 2)) / norm
-
-    x, nfev = twoxn._descend(residual, jacobian, np.array([[1.0, -1.0]]))
+    x, nfev = twoxn._descend(residual, _polar_jacobian, np.array([[1.0, -1.0]]))
     assert nfev[0] == len(costs) <= 50
     best, w = np.minimum.accumulate(costs), twoxn._LM_STALL_WINDOW
     stalled = best[:-w] - best[w:] < twoxn._LM_STALL * best[:-w]
@@ -621,9 +623,10 @@ def test_descend_stops_a_stalled_lane_at_a_nonzero_minimum():
 def test_descend_survives_a_vanishing_damping(monkeypatch):
     """Without the stall stop the damping shrinks on every accepted step.
     On the polar-factor toy above it falls below the rounding of
-    diag(J^T J) within 33 evaluations, so J^T J + mu I is exactly singular
-    on J's null space: that lane takes no step, which stops it, and the
-    other lane of the stack steps on as it would alone.  On the (5,6) range
+    diag(J^T J) within a few dozen evaluations, so J^T J + mu I is exactly
+    singular on J's null space: a lane then takes no step, which stops it
+    at the minimum, while the other lane of the stack steps on as it would
+    alone.  On the (5,6) range
     mixture of ``range_mix_1202_9.json`` the damping sits at its floor
     _LM_MU_MIN max diag(J^T J) for over a thousand steps, and the descent
     runs to the evaluation cap with a finite x."""
@@ -633,18 +636,13 @@ def test_descend_survives_a_vanishing_damping(monkeypatch):
     def residual(x):
         return x / np.linalg.norm(x, axis=1, keepdims=True) - t
 
-    def jacobian(x):
-        norm = np.linalg.norm(x, axis=1)[:, None, None]
-        u = x[:, :, None] / norm
-        return (np.eye(2) - u @ u.swapaxes(1, 2)) / norm
-
     x0 = np.array([[1.0, -1.0], [2.0, 0.5]])
-    x, nfev = twoxn._descend(residual, jacobian, x0)
+    x, nfev = twoxn._descend(residual, _polar_jacobian, x0)
     assert np.isfinite(x).all() and nfev.max() < twoxn._LM_MAX_NFEV
     cost = (residual(x) ** 2).sum(axis=1)
     assert np.all(cost - (1 - np.linalg.norm(t)) ** 2 <= 1e-9)
     for lane in range(2):
-        alone, alone_nfev = twoxn._descend(residual, jacobian, x0[lane:lane + 1])
+        alone, alone_nfev = twoxn._descend(residual, _polar_jacobian, x0[lane:lane + 1])
         assert np.array_equal(x[lane], alone[0]) and nfev[lane] == alone_nfev[0]
 
     path = Path(__file__).with_name("range_mix_1202_9.json")
