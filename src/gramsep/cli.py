@@ -43,34 +43,40 @@ def _schmidt_product_decomposition(rho: DensityMatrix, tol: float):
                                       phi[None, :], psi[None, :])
 
 
+# a fixed real turn of the A basis, for states whose canonical frame fails
+_TURN = np.array([[0.6, -0.8], [0.8, 0.6]])
+
+
+def _turned(rho: DensityMatrix, u, back, post=lambda sd: sd):
+    """(cf, state, post) for rho in the A basis turned by the real orthogonal
+    u: ``back`` maps phi' of the turned state to phi = u^T phi', then ``post``
+    maps on."""
+    big = np.kron(u, np.eye(rho.dim_b))
+    state = densmat.validate_density(big @ rho.mat @ big.T, 2, rho.dim_b, tol=rho.tol,
+                                     unnormalized=rho.unnormalized)
+    return twoxn.canonical_form(state), state, lambda sd: post(sep.SeparableDecomposition(
+        2, rho.dim_b, back(sd.phis), sd.psis))
+
+
 def _canonical_with_fallbacks(rho: DensityMatrix):
-    """Canonical form with the A-swap and B-support deflation fallbacks.
+    """Canonical form with the A-swap, B-support deflation and A-turn
+    fallbacks.
 
     Returns (cf, state_used, post) where ``post`` maps a decomposition of the
     state actually canonicalized back to one of ``rho``.
     """
-    def identity(sd):
-        return sd
-
     try:
-        return twoxn.canonical_form(rho), rho, identity
+        return twoxn.canonical_form(rho), rho, lambda sd: sd
     except twoxn.SingularC:
         pass
-    swap = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(rho.dim_b))
-    swapped = densmat.validate_density(swap @ rho.mat @ swap, 2, rho.dim_b, tol=rho.tol,
-                                       unnormalized=rho.unnormalized)
     try:
-        cf = twoxn.canonical_form(swapped)
-
-        def unswap(sd):
-            return sep.SeparableDecomposition(2, rho.dim_b, sd.phis[:, ::-1], sd.psis)
-
-        return cf, swapped, unswap
+        return _turned(rho, np.array([[0, 1], [1, 0]], dtype=complex), lambda phis: phis[:, ::-1])
     except twoxn.SingularC:
         pass
     reduced, iso = twoxn.deflate_b_support(rho)
     if reduced.dim_b < 2 or reduced.dim_b == rho.dim_b:
-        raise twoxn.SingularC(0.0)
+        # both diagonal blocks singular and tr_A rho of full rank
+        return _turned(rho, _TURN, lambda phis: phis @ _TURN)
     cf, used, post_inner = _canonical_with_fallbacks(reduced)
 
     def lift(sd):
@@ -155,19 +161,29 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
 
     rejection = None  # (verdict, note) reported when the solver accepts nothing
     if ep.q == 0:
-        residual, ok = twoxn.rank_n_test(cf)
-        report["solver"] = {"method": "rank_n", "normality_residual": residual,
-                            "accepted": bool(ok)}
-        if not ok:
-            return finish(VERDICT_UNDECIDED,
-                          f"rank-N commutator residual {residual:.3e} above tolerance")
-        sol = twoxn.solve_extension_general(ep, budget=1, seed=seed)
+        sol = twoxn.rank_n_test(cf)
+        rejection = (VERDICT_UNDECIDED, f"rank-N commutator residual "
+                                        f"{sol.normality_residual:.3e} above tolerance")
     elif densmat.hermitian_deviation(cf.b) <= 1e-9 and cf.p == cf.p_tilde:
         sol = twoxn.self_pt_extension(cf)
-    elif cf.n == 4 and (ep.p, ep.p_tilde) == (1, 1):
+    elif (ep.p, ep.p_tilde) == (1, 1):
         sol = twoxn.solve_extension_55(ep, accept_tol=cert_tol)
-        rejection = (VERDICT_RANGE, "no scalar normal completion exists; equivalent to the "
-                                    "range criterion for the (5,5) pattern")
+        if sol.mixing.get("at_infinity"):  # in the turned A basis s is finite
+            try:
+                turned = _turned(used, _TURN, lambda phis: phis @ _TURN, post)
+                sol = twoxn.solve_extension_55(twoxn.known_part(turned[0]), accept_tol=cert_tol)
+                cf, used, post = turned
+            except InputError:
+                pass
+        if sol.mixing.get("at_infinity"):
+            rejection = (VERDICT_UNDECIDED, "a scalar completion lies at s = infinity in "
+                                            "both the canonical and the turned A basis")
+        elif cf.n == 4:
+            rejection = (VERDICT_RANGE, "no scalar normal completion exists; equivalent to the "
+                                        "range criterion for the (5,5) pattern")
+        else:
+            rejection = (VERDICT_UNDECIDED, "no scalar normal completion exists, so no (N+1)-term "
+                                            "product decomposition; longer ones are not excluded")
     elif cf.n == 4 and (ep.p, ep.p_tilde) == (1, 2):
         sol = twoxn.solve_extension_56(ep)
         rejection = (VERDICT_UNDECIDED,

@@ -96,6 +96,9 @@ class DiagonalGramCertificate:
         v = np.ascontiguousarray(self.frame, dtype=complex)
         if d.shape[0] != self.dim_a or v.shape[0] != self.dim_b or d.shape[1] != v.shape[1]:
             raise InputError("need diagonals M x K and frame N x K")
+        for basis, dim in ((self.basis_a, self.dim_a), (self.basis_b, self.dim_b)):
+            if basis is not None and np.shape(basis) != (dim, dim):
+                raise InputError(f"a local basis must be {dim} x {dim}, got {np.shape(basis)}")
         d.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "diagonals", d)
@@ -144,6 +147,8 @@ class CertificateReport:
 def verify_certificate(cert: DiagonalGramCertificate, rho: DensityMatrix,
                        tol: float = 1e-9) -> CertificateReport:
     """Max entrywise deviation of <D_i v_j, D_m v_n> from rho."""
+    if (cert.dim_a, cert.dim_b) != (rho.dim_a, rho.dim_b):
+        raise InputError(f"certificate is {cert.dim_a}x{cert.dim_b}, state {rho.dim_a}x{rho.dim_b}")
     target = _rho_in_certificate_basis(cert, rho)
     dev = float(np.abs(cert.gram_system().gram_matrix() - target).max())
     return CertificateReport(dev, tol)
@@ -395,10 +400,10 @@ def certificate_from_json_dict(d: dict) -> DiagonalGramCertificate:
     try:
         diag = np.array([densmat.lists_to_vector(row) for row in d["d"]])
         frame = np.array([densmat.lists_to_vector(row) for row in d["v"]])
+        dim_a = int(d.get("m", diag.shape[0]))
+        dim_b = int(d.get("n", frame.shape[0]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed certificate JSON: {exc}") from exc
     ba = densmat.lists_to_matrix(d["basis_a"]) if "basis_a" in d else None
     bb = densmat.lists_to_matrix(d["basis_b"]) if "basis_b" in d else None
-    dim_a = int(d.get("m", diag.shape[0]))
-    dim_b = int(d.get("n", frame.shape[0]))
     return DiagonalGramCertificate(dim_a, dim_b, diag, frame, basis_a=ba, basis_b=bb)

@@ -36,6 +36,8 @@ import numpy as np
 from . import densmat, gram, sep
 from .densmat import DensityMatrix, InputError, NotPSD
 
+_SING_TOL = 1e-12  # C counts as singular below this times its largest eigenvalue
+
 
 class SingularC(InputError):
     def __init__(self, min_eigenvalue):
@@ -117,8 +119,7 @@ class CanonicalForm2xN:
         return None if self.lam_tilde is None else self.lam_tilde.shape[0]
 
 
-def canonical_form(rho: DensityMatrix, sing_tol: float = 1e-12,
-                   rank_tol: float = densmat.RANK_TOL) -> CanonicalForm2xN:
+def canonical_form(rho: DensityMatrix) -> CanonicalForm2xN:
     """Bring a 2xN state to the form [[A, B], [B^dag, I]] via I (x) C^{-1/2}."""
     if rho.dim_a != 2:
         raise InputError(f"canonical form needs dim_a = 2, got {rho.dim_a}")
@@ -126,7 +127,7 @@ def canonical_form(rho: DensityMatrix, sing_tol: float = 1e-12,
     c = rho.block(1, 1)
     evals, evecs = np.linalg.eigh((c + c.conj().T) / 2)
     top = max(evals.max(), 0.0)
-    if evals[0] <= sing_tol * max(top, 1e-300):
+    if evals[0] <= _SING_TOL * max(top, 1e-300):
         raise SingularC(float(evals[0]))
     c_inv_half = (evecs / np.sqrt(evals)) @ evecs.conj().T
     c_half = (evecs * np.sqrt(evals)) @ evecs.conj().T
@@ -137,13 +138,13 @@ def canonical_form(rho: DensityMatrix, sing_tol: float = 1e-12,
     b = rc[:n, n:]
     a_scale = max(float(np.abs(a).max()), 1e-300)
     gap_rho = a - b @ b.conj().T
-    lam = factor_psd((gap_rho + gap_rho.conj().T) / 2, rel_tol=rank_tol, scale=a_scale)
+    lam = factor_psd((gap_rho + gap_rho.conj().T) / 2, rel_tol=densmat.RANK_TOL, scale=a_scale)
     gap = a - b.conj().T @ b
     gap = (gap + gap.conj().T) / 2
     gap_evals, gap_evecs = np.linalg.eigh(gap)
     gap_min = float(gap_evals[0])
     ppt = gap_min >= -1e-9 * a_scale
-    lam_tilde = (_factor_from_eigh(gap_evals, gap_evecs, rank_tol, a_scale).conj().T
+    lam_tilde = (_factor_from_eigh(gap_evals, gap_evecs, densmat.RANK_TOL, a_scale).conj().T
                  if ppt else None)
     return CanonicalForm2xN(n, a, b, lam, lam_tilde, c_half, c_inv_half,
                             ppt, gap_min)
@@ -202,21 +203,18 @@ def assemble(bmat: np.ndarray, r: np.ndarray, t: np.ndarray, s: np.ndarray) -> n
     n = bmat.shape[0]
     q = s.shape[-1]
     m = np.zeros(s.shape[:-2] + (n + q, n + q), dtype=complex)  # a stack for stacked R, S
-    m[..., :n, :n] = bmat
-    if q:
-        m[..., :n, n:] = r
-        m[..., n:, :n] = t
-        m[..., n:, n:] = s
+    m[..., :n, :n], m[..., :n, n:], m[..., n:, :n], m[..., n:, n:] = bmat, r, t, s
     return m
 
 
-def rank_n_test(cf: CanonicalForm2xN, tol: float = 1e-9) -> tuple[float, bool]:
+def rank_n_test(cf: CanonicalForm2xN, tol: float = 1e-9) -> ExtensionSolution:
     """For rank-N states the completion is B itself; separability reduces to
-    [B, B^dag] = 0.  Returns (relative commutator residual, verdict)."""
+    [B, B^dag] = 0.  Returns B as the completion, accepted where its relative
+    commutator residual is at most ``tol``."""
     if cf.p != 0:
         raise RankMismatch(f"state has rank N + {cf.p}, not N")
-    residual = sep.normality_residual(cf.b)
-    return residual, residual <= tol
+    res, t = sep.normality_residual(cf.b), np.zeros((0, cf.n), dtype=complex)
+    return ExtensionSolution(cf.b.copy(), t[:, :0], t.T, t, res, res, res <= tol, "rank_n", {})
 
 
 def self_pt_extension(cf: CanonicalForm2xN, tol: float = 1e-9) -> ExtensionSolution:
@@ -226,19 +224,10 @@ def self_pt_extension(cf: CanonicalForm2xN, tol: float = 1e-9) -> ExtensionSolut
     if dev > tol:
         raise NotSelfPT(f"B deviates from Hermitian by {dev:.3e}")
     ep = known_part(cf)
-    bh = (cf.b + cf.b.conj().T) / 2
-    r = ep.lam
-    t = ep.lam.conj().T
-    s = np.zeros((ep.p, ep.p), dtype=complex)
-    m = assemble(bh, r, t, s)
+    r, t, s = ep.lam, ep.lam.conj().T, np.zeros((ep.p, ep.p), dtype=complex)
+    m = assemble((cf.b + cf.b.conj().T) / 2, r, t, s)
     res = sep.normality_residual(m)
     return ExtensionSolution(m, s, r, t, res, res, res <= 1e-8, "self_pt", {})
-
-
-def _rank1_vectors(ep: ExtensionProblem) -> tuple[np.ndarray, np.ndarray]:
-    if ep.p != 1 or ep.p_tilde != 1:
-        raise InputError(f"need p = p~ = 1, got ({ep.p}, {ep.p_tilde})")
-    return ep.lam[:, 0], ep.lam_tilde0.conj().T[:, 0]
 
 
 def solve_extension_55(ep: ExtensionProblem, accept_tol: float = 1e-8) -> ExtensionSolution:
@@ -248,10 +237,13 @@ def solve_extension_55(ep: ExtensionProblem, accept_tol: float = 1e-8) -> Extens
     constraint) to (B - s)|Lamt> = mu (B^dag - s*)|Lam> with |mu| = 1 carrying
     the relative phase of the two factors.  Substituting a = mu^{-1/2},
     c = a*s makes the equation real-linear and homogeneous in (a, c); the
-    smallest singular vector decides solvability exactly.
+    smallest singular vector decides solvability exactly, save where it has
+    a = 0: an exact kernel there is a completion at s = infinity, a product
+    term on the A-side |0> of this frame, flagged ``at_infinity`` in mixing.
     """
-    bmat = ep.b
-    lvec, tvec = _rank1_vectors(ep)
+    if ep.p != 1 or ep.p_tilde != 1:
+        raise InputError(f"need p = p~ = 1, got ({ep.p}, {ep.p_tilde})")
+    bmat, lvec, tvec = ep.b, ep.lam[:, 0], ep.lam_tilde0.conj().T[:, 0]
     bt = bmat @ tvec
     bl = bmat.conj().T @ lvec
     cols = [bt - bl, 1j * (bt + bl), lvec - tvec, -1j * (lvec + tvec)]
@@ -263,7 +255,7 @@ def solve_extension_55(ep: ExtensionProblem, accept_tol: float = 1e-8) -> Extens
     c = kernel[2] + 1j * kernel[3]
     if abs(a) < 1e-8:
         # a ~ 0 forces c T = c* L; only the trivial kernel unless the factors
-        # are parallel, so report the unattainable direction as no solution
+        # are parallel, when s = infinity, which no finite completion attains
         if svals[-2] < 1e-10 * max(svals[0], 1e-300):
             other = vh[-2]
             a = other[0] + 1j * other[1]
@@ -272,7 +264,8 @@ def solve_extension_55(ep: ExtensionProblem, accept_tol: float = 1e-8) -> Extens
         return ExtensionSolution(
             assemble(bmat, lvec[:, None], tvec[None, :].conj(), np.zeros((1, 1))),
             np.zeros((1, 1)), lvec[:, None], tvec[None, :].conj(),
-            1.0, float(svals[-1]), False, "rank1_linear", {})
+            1.0, float(svals[-1]), False, "rank1_linear",
+            {"at_infinity": True} if svals[-1] <= accept_tol * max(scale, 1e-300) else {})
     a, c = a / abs(a), c / abs(a)
     s = c / a
     mu = np.conj(a) ** 2
@@ -313,6 +306,7 @@ _GRID_56 = (12, 12, 8)  # theta, phi, gamma cells of the (5,6) sphere scan
 # bound on the scan's condition number above which its normal equations,
 # whose error grows as cond^2 eps, give way to a pseudo-inverse
 _SCAN_56_MAX_COND = 1e4
+_ACCEPT_56 = 1e-6  # normality residual at which a (5,6) completion is accepted
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,7 +388,7 @@ def _scan_56(ep: ExtensionProblem) -> tuple[int, np.ndarray]:
     return int(np.argmin(res)), res
 
 
-def solve_extension_56(ep: ExtensionProblem, accept_tol: float = 1e-6) -> ExtensionSolution:
+def solve_extension_56(ep: ExtensionProblem) -> ExtensionSolution:
     """Rank pattern (N+1, N+2): upper-right block is |Lam>(alpha, beta).
 
     The two off-diagonal normality equations are real-linear in S for a fixed
@@ -419,8 +413,8 @@ def solve_extension_56(ep: ExtensionProblem, accept_tol: float = 1e-6) -> Extens
     m = assemble(bmat, r, t, s)
     res = sep.normality_residual(m)
     alpha, beta = lvec.conj() @ r / (lvec.conj() @ lvec)
-    return ExtensionSolution(m, s, r, t, res, float(np.linalg.norm(residual(x))),
-                             res <= accept_tol, "alpha_beta_grid",
+    return ExtensionSolution(m, s, r, t, res, float(np.linalg.norm(residual(x)[0])),
+                             res <= _ACCEPT_56, "alpha_beta_grid",
                              {"alpha": alpha, "beta": beta, "nfev": int(nfev[0]),
                               "scan_residual": float(scan[cell])})
 
@@ -430,7 +424,9 @@ def _pinned_completion(ep: ExtensionProblem):
     x = (z, S) viewed as floats, Q(z) the polar factor of a free q x p z.
     Returns (start, blocks, residual, jacobian): start(z) is x with S fitted
     to the off-diagonal equation, blocks(x) is (R, T, S); residual and
-    jacobian take and give stacks, x of shape (lanes, n_x)."""
+    jacobian take and give stacks, x of shape (lanes, n_x).  residual(x)
+    returns (f, work), work = (U, Sig, W^dag, M) per lane, and
+    jacobian(x, work) builds J from that work alone, taking no SVD."""
     n, p, q = ep.n, ep.p, ep.q
     t = np.vstack([ep.lam_tilde0, np.zeros((q - ep.p_tilde, n))]).astype(complex)
     dz, ds, lam_h = _unit_basis(q, p), _unit_basis(q, q), ep.lam.conj().T
@@ -456,36 +452,24 @@ def _pinned_completion(ep: ExtensionProblem):
         z, s = split(x)
         return polar(z)[1], t, s
 
-    # the last residual call's lanes by the bytes of their x, and its work:
-    # the SVD of z and M, which the Jacobian at the same x reuses
-    seen, work = {}, ()
-
     def residual(x):
-        nonlocal seen, work
         z, s = split(x)
         svd, r = polar(z)
         m = assemble(ep.b, r, t, s)
-        seen, work = {row.tobytes(): i for i, row in enumerate(x)}, (*svd, m)
         mh = m.conj().swapaxes(1, 2)
-        return (m @ mh - mh @ m).view(float).reshape(len(x), -1)
+        return (m @ mh - mh @ m).view(float).reshape(len(x), -1), (*svd, m)
 
-    def jacobian(x):
+    def jacobian(x, work):
         """Columns d vec[M, M^dag] / dx, all lanes and directions in one pass.
 
         With dM = [[0, dR], [0, dS]], d[M, M^dag] = X + X^dag for
         X = dM M^dag - M^dag dM.  The polar factor of z = U Sig W^dag moves by
         dQ = (I - U U^dag) dz W Sig^-1 W^dag + U K W^dag, where
         K_ij = (A_ij - conj(A_ji)) / (sig_i + sig_j) and A = U^dag dz W.
-        Directions ride in a middle axis: one matrix product per lane.  If
-        the last residual call saw every lane's x, its SVD and M serve, uncopied in its order."""
+        Directions ride in a middle axis: one matrix product per lane.  The
+        SVD of z and M come from the residual's work at the same x."""
         lanes = len(x)
-        z, s = split(x)
-        idx = [seen.get(row.tobytes()) for row in x]
-        if None in idx:
-            (u, sig, wh), r = polar(z)
-            m = assemble(ep.b, r, t, s)
-        else:
-            u, sig, wh, m = work if idx == list(range(len(work[0]))) else (a[idx] for a in work)
+        u, sig, wh, m = work
         w = wh.conj().swapaxes(1, 2)
         uh_dz = u.conj().swapaxes(1, 2) @ dz_cols
         a = (uh_dz.reshape(lanes, -1, p) @ w).reshape(lanes, p, -1, p)
@@ -515,11 +499,17 @@ _LM_FTOL = 1e-15       # decrease stop, relative to |f|^2
 _LM_MAX_NFEV = 4000    # residual evaluations per descent
 _LM_STALL = 1e-3       # stall stop: least decrease of |f|^2, relative to it, ...
 _LM_STALL_WINDOW = 10  # ... over this many residual evaluations
+# normality residuals of solve_extension_general: accepted, and good enough
+# that no further start descends
+_ACCEPT_GENERAL = 1e-8
+_TARGET_GENERAL = 1e-12
 
 
 def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
     """Levenberg-Marquardt on a pinned-completion residual from a stack of
     starts x0, shape (lanes, n_x); returns x and the residual evaluations.
+    residual(x) gives (f, work) and jacobian(x, work) J at the same x; each
+    Jacobian takes the work of the residual call that evaluated its lanes.
 
     Each step solves (J^T J + mu I) dx = -J^T f; mu starts at _LM_TAU max
     diag(J^T J) and follows Nielsen's update (shrunk by the gain ratio on an
@@ -541,8 +531,8 @@ def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
     def dots(a, b):  # per lane, as floats
         return (a[:, None] @ b[..., None]).ravel().tolist()
 
-    def normal_equations(x, f):  # J^T J, J^T f; max diag(J^T J), gradient stop
-        jac = jacobian(x)
+    def normal_equations(x, f, work):  # J^T J, J^T f; max diag(J^T J), gradient stop
+        jac = jacobian(x, work)
         jtj, grad = jac.swapaxes(1, 2) @ jac, jac.swapaxes(1, 2) @ f[..., None]
         top = jtj.diagonal(axis1=1, axis2=2).max(axis=1)
         return jtj, grad, top.tolist(), (~(np.abs(grad).max(axis=(1, 2)) > _LM_GTOL * top)).tolist()
@@ -550,10 +540,10 @@ def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
     x = np.array(x0, dtype=float)
     out, evals = np.empty_like(x), np.empty(len(x), dtype=int)
     lanes, nfev = list(range(len(x))), 1  # nfev: evaluations of every live lane
-    f = residual(x)
+    f, work = residual(x)
     cost = dots(f, f)
     past = [deque([c], maxlen=_LM_STALL_WINDOW + 1) for c in cost]  # |f|^2 per evaluation
-    jtj, grad, top, stop = normal_equations(x, f)
+    jtj, grad, top, stop = normal_equations(x, f, work)
     mu, nu = [_LM_TAU * t for t in top], [2.0] * len(x)
     eye = np.eye(x.shape[1])
     while True:
@@ -578,7 +568,7 @@ def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
         if any(stop):
             continue
         x_new = x + dx
-        f_new = residual(x_new)
+        f_new, work = residual(x_new)
         nfev += 1
         moved = []
         for i, (c, c_new, slope) in enumerate(zip(cost, dots(f_new, f_new), dots(dx, grad[..., 0]))):
@@ -601,48 +591,45 @@ def _descend(residual, jacobian, x0) -> tuple[np.ndarray, np.ndarray]:
         fresh = [i for i in moved if not stop[i]] if nfev < _LM_MAX_NFEV else []
         if fresh:
             sel = slice(None) if len(fresh) == len(lanes) else fresh
-            jtj[sel], grad[sel], new_top, flat = normal_equations(x[sel], f[sel])
+            part = work if len(fresh) == len(lanes) else [a[fresh] for a in work]
+            jtj[sel], grad[sel], new_top, flat = normal_equations(x[sel], f[sel], part)
             for i, t, g in zip(fresh, new_top, flat):
                 top[i], stop[i], mu[i] = t, g, max(mu[i], _LM_MU_MIN * t)
 
 
-def solve_extension_general(ep: ExtensionProblem, budget: int = 12, seed: int = 0,
-                            accept_tol: float = 1e-8,
-                            target: float = 1e-12) -> ExtensionSolution:
+def solve_extension_general(ep: ExtensionProblem, budget: int = 12,
+                            seed: int = 0) -> ExtensionSolution:
     """Minimize ||[M, M^dag]||_F over R = Lam V^dag, T = [Lamt; 0], S free.
 
     T is pinned by the U(q) gauge: diag(I, U) maps completions to completions
     and takes any admissible T to [Lamt; 0].  Levenberg-Marquardt from
-    V = [I; 0]; if that misses ``target``, the other ``budget - 1`` starts,
-    random perturbations, descend as one stack, and the first at ``target``
-    is kept, else the least residual.  ``mixing`` has ``starts`` (1 or
+    V = [I; 0]; if that misses _TARGET_GENERAL, the other ``budget - 1``
+    starts, random perturbations, descend as one stack, and the first at
+    _TARGET_GENERAL is kept, else the least residual; the kept completion is
+    accepted at or below _ACCEPT_GENERAL.  ``mixing`` has ``starts`` (1 or
     ``budget``) and ``nfev``, the residual evaluations of all starts.  A
     vanishing minimum certifies the completion; a nonzero one claims no
     nonexistence.
     """
-    n, p, q = ep.n, ep.p, ep.q
+    p, q = ep.p, ep.q
     if q == 0:
-        res = sep.normality_residual(ep.b)
-        return ExtensionSolution(ep.b.copy(), np.zeros((0, 0), dtype=complex),
-                                 np.zeros((n, 0), dtype=complex), np.zeros((0, n), dtype=complex),
-                                 res, res, res <= accept_tol, "rank_n", {})
-
+        raise InputError("a rank-N problem has no free block; rank_n_test decides it")
     rng = np.random.default_rng(seed)
     start, blocks, residual, jacobian = _pinned_completion(ep)
     z0 = np.eye(q, p, dtype=complex)
     xs, nfev = _descend(residual, jacobian, start(z0)[None])
-    if sep.normality_residual(assemble(ep.b, *blocks(xs[0]))) > target and budget > 1:
+    if sep.normality_residual(assemble(ep.b, *blocks(xs[0]))) > _TARGET_GENERAL and budget > 1:
         zs = [z0 + rng.normal(size=(q, p)) + 1j * rng.normal(size=(q, p))
               for _ in range(budget - 1)]
         more = _descend(residual, jacobian, np.stack([start(z) for z in zs]))
         xs, nfev = np.concatenate([xs, more[0]]), np.concatenate([nfev, more[1]])
     ms = assemble(ep.b, *blocks(xs))
     res = [sep.normality_residual(m) for m in ms]
-    best = next((i for i, r in enumerate(res) if r <= target), int(np.argmin(res)))
+    best = next((i for i, r in enumerate(res) if r <= _TARGET_GENERAL), int(np.argmin(res)))
     r, t, s = blocks(xs[best])
     return ExtensionSolution(ms[best], s, r, t, res[best],
-                             float(np.linalg.norm(residual(xs[best:best + 1]))),
-                             res[best] <= accept_tol, "multistart_lm",
+                             float(np.linalg.norm(residual(xs[best:best + 1])[0])),
+                             res[best] <= _ACCEPT_GENERAL, "multistart_lm",
                              {"starts": len(xs), "nfev": int(nfev.sum())})
 
 
@@ -654,23 +641,14 @@ def companion_gram(cf: CanonicalForm2xN, r_block: np.ndarray) -> gram.GramSystem
     decomposition |0>|k> + |1>B|k> plus |1>|R_j>; its w_0n are the standard
     basis vectors, which is what pins the known part of the completion."""
     n = cf.n
-    q = r_block.shape[1]
-    k = n + q
-    terms = np.zeros((k, 2 * n), dtype=complex)
-    for kk in range(n):
-        terms[kk, kk] = 1.0
-        terms[kk, n:] = cf.b[:, kk]
-    for j in range(q):
-        terms[n + j, n:] = r_block[:, j]
+    terms = np.zeros((n + r_block.shape[1], 2 * n), dtype=complex)
+    terms[:n, :n], terms[:n, n:], terms[n:, n:] = np.eye(n), cf.b.T, r_block.T
     return gram.GramSystem(2, n, terms.conj())
 
 
 def swapped_canonical_matrix(cf: CanonicalForm2xN) -> np.ndarray:
     """[[I, B^dag], [B, A]]: the canonical state with the A-side basis swapped."""
-    n = cf.n
-    top = np.hstack([np.eye(n), cf.b.conj().T])
-    bot = np.hstack([cf.b, cf.a])
-    return np.vstack([top, bot])
+    return np.block([[np.eye(cf.n), cf.b.conj().T], [cf.b, cf.a]])
 
 
 def extension_to_decomposition(cf: CanonicalForm2xN, sol: ExtensionSolution,

@@ -207,3 +207,15 @@ def horodecki_range_mixture(b, seed, weight=0.08):
     mix = (1 - weight) * rho_e.mat + weight * np.outer(v, v.conj())
     rho = densmat.validate_density(mix, 2, 4)
     return rho, (e, f / np.linalg.norm(f))
+
+
+def horodecki_2x5_product_mixture():
+    """0.9 rho_H(0.5) on B-span{f_0..f_3} plus 0.1 |e, f_4><e, f_4|,
+    e ~ (1, 0.7i): a 2x5 state with rank pattern (6,6), PPT and entangled,
+    since projecting its B side onto span{f_0..f_3} gives back rho_H."""
+    mat = np.zeros((10, 10), dtype=complex)
+    on_f03 = [0, 1, 2, 3, 5, 6, 7, 8]
+    mat[np.ix_(on_f03, on_f03)] = 0.9 * states.horodecki97(0.5).mat
+    e = np.array([1, 0.7j]) / np.sqrt(1.49)
+    v = np.kron(e, np.eye(5)[4])
+    return densmat.validate_density(mat + 0.1 * np.outer(v, v.conj()), 2, 5)

@@ -136,10 +136,9 @@ def test_criterion_5_rank_n_commutator():
     for i in range(100):
         n = (3, 4, 5)[i % 3]
         rho = _rank_n_separable(n, seed=1000 + i)
-        cf = twoxn.canonical_form(rho)
-        residual, verdict = twoxn.rank_n_test(cf)
-        worst = max(worst, residual)
-        assert verdict, (i, residual)
+        sol = twoxn.rank_n_test(twoxn.canonical_form(rho))
+        worst = max(worst, sol.normality_residual)
+        assert sol.accepted, (i, sol.normality_residual)
     npt_residuals = []
     seed = 0
     while len(npt_residuals) < 100:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gramsep import cli, densmat, sep, states
+from gramsep import cli, densmat, sep, states, twoxn
 
 import fixtures
 
@@ -95,6 +95,59 @@ def test_analyze_singular_block_fallbacks():
     rep = cli.analyze_state(rho)
     assert rep["verdict"] == "separable_certified"
     assert rep["residuals"]["certificate"] < 1e-10
+
+
+def test_analyze_canonicalizes_with_both_diagonal_blocks_singular():
+    # (|0><0| (x) P + |1><1| (x) (I - P)) / N: both diagonal blocks are
+    # singular and tr_A rho is I / N, so only the A-basis rotation helps
+    for n in (2, 3, 4):
+        proj = np.diag([1.0] * (n // 2) + [0.0] * (n - n // 2))
+        mat = np.kron(np.diag([1.0, 0.0]), proj) + np.kron(np.diag([0.0, 1.0]), np.eye(n) - proj)
+        rep = cli.analyze_state(densmat.validate_density(mat / n, 2, n))
+        assert rep["rank"] == n
+        assert rep["verdict"] == "separable_certified", rep.get("note")
+
+
+def test_scalar_completion_decides_every_n():
+    """(N+1, N+1) states go to the scalar solver on every N; a rejection
+    claims entanglement only on 2x4, where it is the range criterion."""
+    for n in (2, 3, 5, 6):
+        for seed in range(3):
+            rep = cli.analyze_state(states.random_separable(2, n, n + 1, seed)[0])
+            assert rep["case"] == f"({n + 1},{n + 1})"
+            assert rep["verdict"] == "separable_certified"
+            assert rep["solver"]["method"] == "rank1_linear"
+    rep = cli.analyze_state(fixtures.horodecki_2x5_product_mixture())
+    assert (rep["case"], rep["ppt"]) == ("(6,6)", True)
+    assert rep["verdict"] == "ppt_undecided"
+    assert rep["solver"]["method"] == "rank1_linear" and not rep["solver"]["accepted"]
+
+
+def test_scalar_completion_at_infinity_is_solved_in_a_turned_basis():
+    """A separable (N+1)-term state with a product term on A-side |0> needs
+    s = infinity in its canonical frame; a turned A basis makes s finite.
+    Reading that as no completion would claim entangled_range on 2x4.  A
+    second term on the vector that the turn sends to |0> puts s at infinity
+    in both frames: that state must stay undecided."""
+    def state(n, phi1=None):
+        rng = np.random.default_rng(n)
+        phis = rng.normal(size=(n + 1, 2)) + 1j * rng.normal(size=(n + 1, 2))
+        phis[0] = (1, 0)
+        if phi1 is not None:
+            phis[1] = phi1
+        psis = rng.normal(size=(n + 1, n)) + 1j * rng.normal(size=(n + 1, n))
+        mat = sep.SeparableDecomposition(2, n, phis, psis).density()
+        return densmat.validate_density(mat / np.trace(mat).real, 2, n)
+
+    for n in (3, 4, 5):
+        rho = state(n)
+        ep = twoxn.known_part(twoxn.canonical_form(rho))
+        assert twoxn.solve_extension_55(ep).mixing == {"at_infinity": True}
+        rep = cli.analyze_state(rho)
+        assert rep["verdict"] == "separable_certified"
+        assert rep["solver"]["method"] == "rank1_linear" and rep["solver"]["accepted"]
+    rep = cli.analyze_state(state(4, phi1=(0.6, -0.8)))
+    assert rep["verdict"] == "ppt_undecided" and rep["solver"]["at_infinity"]
 
 
 def test_analyze_byte_identical(tmp_path, capsys):
@@ -230,6 +283,20 @@ def test_ffcnm_verify_subcommand(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["passed"]
     assert payload["family"]["normality"] < 1e-9
+
+
+def test_ffcnm_verify_input_errors(tmp_path, capsys):
+    rho, sd = states.random_separable(2, 2, 3, seed=2)
+    payload = sep.certificate_to_json_dict(sep.decomposition_to_certificate(sd))
+    cert_path = tmp_path / "cert.json"
+    state_2x3 = write_state(tmp_path, "s3.json", states.random_separable(2, 3, 4, seed=2)[0])
+    state_2x2 = write_state(tmp_path, "s2.json", rho)
+    wrong_basis = dict(payload, basis_a=densmat.matrix_to_lists(np.eye(3)))
+    for cert, state in [(dict(payload, m="x"), state_2x2), (payload, state_2x3),
+                        (wrong_basis, state_2x2)]:
+        cert_path.write_text(json.dumps(cert))
+        code, _, err = run_cli(capsys, "ffcnm-verify", str(cert_path), state)
+        assert code == 1 and err.startswith("input error: ")
 
 
 def test_missing_file_exit_code(capsys):

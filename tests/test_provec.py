@@ -556,8 +556,8 @@ def test_balanced_subtraction_reduction_chain_2x3():
     # scrub the sub-threshold eigenvalue the chain leaves behind
     clean = fixtures.psd_rank_project(rho.mat, 3)
     rho = densmat.validate_density(clean / np.trace(clean).real, 2, 3)
-    residual, verdict = twoxn.rank_n_test(twoxn.canonical_form(rho))
-    assert verdict, residual
+    sol = twoxn.rank_n_test(twoxn.canonical_form(rho))
+    assert sol.accepted, sol.normality_residual
 
 
 def test_balanced_subtraction_rejects_isolated_patterns():

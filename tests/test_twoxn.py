@@ -154,9 +154,10 @@ def test_rank_n_test_on_product_constructions():
         sd = sep.SeparableDecomposition(2, n, phis / np.sqrt(tr), psis)
         rho = densmat.validate_density(sd.density(), 2, n)
         cf = canonical_form(rho)
-        residual, verdict = rank_n_test(cf)
-        assert residual <= 1e-9
-        assert verdict
+        sol = rank_n_test(cf)
+        assert sol.normality_residual <= 1e-9 and sol.accepted
+        assert sol.method == "rank_n" and sol.equation_residual == sol.normality_residual
+        assert np.array_equal(sol.matrix, cf.b) and sol.r_block.shape == (n, 0)
 
 
 def test_rank_n_test_unitary_b():
@@ -164,8 +165,8 @@ def test_rank_n_test_unitary_b():
     mat = np.block([[u @ u.conj().T, u], [u.conj().T, np.eye(3)]])
     rho = densmat.DensityMatrix(2, 3, mat / np.trace(mat).real, unnormalized=False)
     cf = canonical_form(densmat.validate_density(rho.mat, 2, 3))
-    residual, verdict = rank_n_test(cf)
-    assert residual < 1e-12 and verdict
+    sol = rank_n_test(cf)
+    assert sol.normality_residual < 1e-12 and sol.accepted
 
 
 def test_rank_n_test_shift_b_fails():
@@ -176,14 +177,20 @@ def test_rank_n_test_shift_b_fails():
     mat = np.block([[a, bmat], [bmat.conj().T, np.eye(3)]])
     rho = densmat.validate_density(mat / np.trace(mat).real, 2, 3)
     cf = canonical_form(rho)
-    residual, verdict = rank_n_test(cf)
-    assert residual > 1e-2 and not verdict
+    sol = rank_n_test(cf)
+    assert sol.normality_residual > 1e-2 and not sol.accepted
 
 
 def test_rank_n_test_rank_guard():
     cf = canonical_form(states.werner(0.2))
     with pytest.raises(RankMismatch):
         rank_n_test(cf)
+
+
+def test_general_solver_leaves_rank_n_to_rank_n_test():
+    rho, _ = states.random_separable(2, 3, 3, seed=0)
+    with pytest.raises(densmat.InputError):
+        solve_extension_general(known_part(canonical_form(rho)))
 
 
 def test_self_pt_extension():
@@ -440,35 +447,31 @@ def test_pinned_completion_jacobian_matches_central_differences():
         _, _, residual, jacobian = twoxn._pinned_completion(ep)
         rng = np.random.default_rng(ep.q + ep.p)
         x = rng.normal(size=(3, 2 * ep.q * (ep.p + ep.q)))
-        jac = jacobian(x)
-        assert jac.shape == (3, residual(x).shape[1], x.shape[1])
+        f, work = residual(x)
+        jac = jacobian(x, work)
+        assert jac.shape == (3, f.shape[1], x.shape[1])
         for lane in range(3):
-            fd = np.column_stack([(residual(x + h * e) - residual(x - h * e))[lane] / (2 * h)
+            fd = np.column_stack([(residual(x + h * e)[0] - residual(x - h * e)[0])[lane] / (2 * h)
                                   for e in np.eye(x.shape[1])])
             assert np.linalg.norm(jac[lane] - fd) <= 1e-6 * np.linalg.norm(fd)
     assert shapes == {(2, 2, 2), (1, 2, 2), (2, 1, 2)}
 
 
 def test_pinned_completion_jacobian_is_the_same_on_every_branch(monkeypatch):
-    """The Jacobian takes the last residual call's SVD and M as they are when
-    the lanes come in that call's order, indexes them for a subset or a
-    permutation of its lanes, and recomputes them for lanes it did not see;
-    all three give the same J, bit for bit."""
-    svds = []
+    """The Jacobian takes the residual's work (U, Sig, W^dag, M) as it is
+    when the lanes come in that call's order, and indexed for a subset or a
+    permutation of its lanes; both give the same J, bit for bit, and
+    neither takes an SVD."""
     svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
     for ep in _uneven_problems():
         _, _, residual, jacobian = twoxn._pinned_completion(ep)
         x = np.random.default_rng(ep.p).normal(size=(4, 2 * ep.q * (ep.p + ep.q)))
-        residual(x)
-        svds.clear()
-        in_order = jacobian(x)
-        assert np.array_equal(jacobian(x[[2, 0]]), in_order[[2, 0]])
-        assert np.array_equal(jacobian(x[::-1]), in_order[::-1])
-        assert not svds
-        residual(x[1:2] + 1)
-        assert np.array_equal(jacobian(x), in_order)
-        assert len(svds) == 2
+        work = residual(x)[1]
+        monkeypatch.setattr(np.linalg, "svd", None)
+        in_order = jacobian(x, work)
+        for idx in ([2, 0], [3, 2, 1, 0]):
+            assert np.array_equal(jacobian(x[idx], [a[idx] for a in work]), in_order[idx])
+        monkeypatch.setattr(np.linalg, "svd", svd)
 
 
 def _lane_starts(ep, lanes, seed):
@@ -556,9 +559,9 @@ def test_descend_is_deterministic_on_rank_deficient_jacobian():
     noise = 0.05 * rng.normal(size=40)
 
     def residual(x):
-        return np.sin(x @ basis) @ amat.T - planted - noise
+        return np.sin(x @ basis) @ amat.T - planted - noise, ()
 
-    def jacobian(x):
+    def jacobian(x, work):
         return (amat * np.cos(x @ basis)[:, None, :]) @ basis.T
 
     x0 = 0.3 * rng.normal(size=(1, 12))
@@ -569,7 +572,7 @@ def test_descend_is_deterministic_on_rank_deficient_jacobian():
         herm = rng.normal(size=(160, 160))
         np.linalg.eigh(herm + herm.T)  # moves the allocator between calls
     assert len(xs) == 1
-    f, jac = residual(x)[0], jacobian(x)[0]
+    f, jac = residual(x)[0][0], jacobian(x, ())[0]
     assert np.abs(jac.T @ f).max() <= 1e-7 * np.linalg.norm(jac) * np.linalg.norm(f)
     assert np.linalg.norm(f) <= np.linalg.norm(noise)
 
@@ -579,9 +582,9 @@ def test_descend_rejects_a_non_finite_trial_residual():
     # residual is NaN; the descent must reject it and grow the damping
     def residual(x):
         with np.errstate(invalid="ignore"):
-            return np.sqrt(x) - 0.5
+            return np.sqrt(x) - 0.5, ()
 
-    def jacobian(x):
+    def jacobian(x, work):
         return (0.5 / np.sqrt(x))[..., None]
 
     x, nfev = twoxn._descend(residual, jacobian, np.array([[4.0]]))
@@ -589,7 +592,7 @@ def test_descend_rejects_a_non_finite_trial_residual():
     assert nfev[0] > 2
 
 
-def _polar_jacobian(x):
+def _polar_jacobian(x, work):
     """d(x/|x|)/dx for each lane's vector x."""
     norm = np.linalg.norm(x, axis=1)[:, None, None]
     u = x[:, :, None] / norm
@@ -609,7 +612,7 @@ def test_descend_stops_a_stalled_lane_at_a_nonzero_minimum():
     def residual(x):
         f = x / np.linalg.norm(x, axis=1, keepdims=True) - t
         costs.append(float(f[0] @ f[0]))
-        return f
+        return f, ()
 
     x, nfev = twoxn._descend(residual, _polar_jacobian, np.array([[1.0, -1.0]]))
     assert nfev[0] == len(costs) <= 50
@@ -634,12 +637,12 @@ def test_descend_survives_a_vanishing_damping(monkeypatch):
     t = np.array([0.3, 0.1])
 
     def residual(x):
-        return x / np.linalg.norm(x, axis=1, keepdims=True) - t
+        return x / np.linalg.norm(x, axis=1, keepdims=True) - t, ()
 
     x0 = np.array([[1.0, -1.0], [2.0, 0.5]])
     x, nfev = twoxn._descend(residual, _polar_jacobian, x0)
     assert np.isfinite(x).all() and nfev.max() < twoxn._LM_MAX_NFEV
-    cost = (residual(x) ** 2).sum(axis=1)
+    cost = (residual(x)[0] ** 2).sum(axis=1)
     assert np.all(cost - (1 - np.linalg.norm(t)) ** 2 <= 1e-9)
     for lane in range(2):
         alone, alone_nfev = twoxn._descend(residual, _polar_jacobian, x0[lane:lane + 1])
