@@ -58,12 +58,18 @@ def _turned(rho: DensityMatrix, u, back, post=lambda sd: sd):
         2, rho.dim_b, back(sd.phis), sd.psis))
 
 
+class _BSupportIsALine(Exception):
+    """Carries the decomposition of a state whose tr_A rho has rank one:
+    rho = sigma_A (x) |f><f| needs no completion."""
+
+
 def _canonical_with_fallbacks(rho: DensityMatrix):
     """Canonical form with the A-swap, B-support deflation and A-turn
     fallbacks.
 
     Returns (cf, state_used, post) where ``post`` maps a decomposition of the
-    state actually canonicalized back to one of ``rho``.
+    state actually canonicalized back to one of ``rho``.  Raises
+    _BSupportIsALine where the B support is one-dimensional.
     """
     try:
         return twoxn.canonical_form(rho), rho, lambda sd: sd
@@ -74,7 +80,11 @@ def _canonical_with_fallbacks(rho: DensityMatrix):
     except twoxn.SingularC:
         pass
     reduced, iso = twoxn.deflate_b_support(rho)
-    if reduced.dim_b < 2 or reduced.dim_b == rho.dim_b:
+    if reduced.dim_b == 1:  # one term per eigenvector of sigma_A, each with psi = f
+        phis = twoxn.factor_psd(reduced.mat, rel_tol=densmat.RANK_TOL).T
+        raise _BSupportIsALine(sep.SeparableDecomposition(
+            2, rho.dim_b, phis, np.repeat(iso.T, len(phis), axis=0)))
+    if reduced.dim_b == rho.dim_b:
         # both diagonal blocks singular and tr_A rho of full rank
         return _turned(rho, _TURN, lambda phis: phis @ _TURN)
     cf, used, post_inner = _canonical_with_fallbacks(reduced)
@@ -121,14 +131,17 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
         return report
 
     def certify(sd):
+        t0 = time.perf_counter()
         cert = sep.decomposition_to_certificate(sd)
         check = sep.verify_certificate(cert, rho, tol=cert_tol)
         if not check.passed:
+            timings["verify"] = time.perf_counter() - t0
             return finish(VERDICT_UNDECIDED,
                           f"certificate verification failed at {check.max_deviation:.3e}")
         report["certificate"] = sep.certificate_to_json_dict(cert)
         report["residuals"]["certificate"] = check.max_deviation
         report["terms"] = sd.k
+        timings["verify"] = time.perf_counter() - t0
         return finish(VERDICT_SEPARABLE)
 
     if not ppt:
@@ -150,6 +163,9 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
         cf, used, post = _canonical_with_fallbacks(rho)
     except twoxn.SingularC:
         return finish(VERDICT_UNDECIDED, "no nonsingular local block to canonicalize against")
+    except _BSupportIsALine as line:
+        timings["canonical"] = time.perf_counter() - t0
+        return certify(line.args[0])
     timings["canonical"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

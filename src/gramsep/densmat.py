@@ -225,11 +225,11 @@ def complex_to_pair(z: complex) -> list[float]:
 
 
 def matrix_to_lists(mat: np.ndarray) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(mat, dtype=complex)]
+    z = np.asarray(mat, dtype=complex)  # also vectors: one list level per axis
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
-def vector_to_lists(vec: np.ndarray) -> list:
-    return [complex_to_pair(z) for z in np.asarray(vec, dtype=complex)]
+vector_to_lists = matrix_to_lists
 
 
 def lists_to_matrix(data) -> np.ndarray:

@@ -10,6 +10,7 @@ w_kn of any K-term decomposition onto w_mn.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,22 +117,13 @@ class DiagonalGramCertificate:
         return self.min_abs_diagonal() > SINGULAR_DIAG_TOL * scale
 
     def gram_system(self) -> GramSystem:
-        w = np.empty((self.k, self.dim_a * self.dim_b), dtype=complex)
-        for m in range(self.dim_a):
-            for n in range(self.dim_b):
-                w[:, m * self.dim_b + n] = self.diagonals[m] * self.frame[n]
-        return GramSystem(self.dim_a, self.dim_b, w)
+        w = self.diagonals[:, None, :] * self.frame[None, :, :]  # [m, n] holds w_mn = D_m v_n
+        return GramSystem(self.dim_a, self.dim_b, w.reshape(-1, self.k).T)
 
     def local_frame(self) -> tuple[np.ndarray, np.ndarray]:
         ua = np.eye(self.dim_a, dtype=complex) if self.basis_a is None else self.basis_a
         ub = np.eye(self.dim_b, dtype=complex) if self.basis_b is None else self.basis_b
         return ua, ub
-
-
-def _rho_in_certificate_basis(cert: DiagonalGramCertificate, rho: DensityMatrix) -> np.ndarray:
-    ua, ub = cert.local_frame()
-    u = np.kron(ua, ub)
-    return u.conj().T @ rho.mat @ u
 
 
 @dataclass(frozen=True)
@@ -149,7 +141,10 @@ def verify_certificate(cert: DiagonalGramCertificate, rho: DensityMatrix,
     """Max entrywise deviation of <D_i v_j, D_m v_n> from rho."""
     if (cert.dim_a, cert.dim_b) != (rho.dim_a, rho.dim_b):
         raise InputError(f"certificate is {cert.dim_a}x{cert.dim_b}, state {rho.dim_a}x{rho.dim_b}")
-    target = _rho_in_certificate_basis(cert, rho)
+    target = rho.mat  # rho in the certificate's local basis
+    if cert.basis_a is not None or cert.basis_b is not None:
+        u = np.kron(*cert.local_frame())
+        target = u.conj().T @ rho.mat @ u
     dev = float(np.abs(cert.gram_system().gram_matrix() - target).max())
     return CertificateReport(dev, tol)
 
@@ -186,8 +181,9 @@ def decomposition_to_certificate(sd: SeparableDecomposition,
         m = int(bad[0][0])
         ua = ua @ _givens(m_dim, m, (m + 1) % m_dim, (attempt + 1) * 1e-3)
     frame = sd.psis.T.conj()  # N x K
-    basis_a = None if np.allclose(ua, np.eye(m_dim)) else ua
-    return DiagonalGramCertificate(sd.dim_a, sd.dim_b, diag, frame, basis_a=basis_a)
+    # attempt counts the Givens turns applied before the loop broke
+    return DiagonalGramCertificate(sd.dim_a, sd.dim_b, diag, frame,
+                                   basis_a=ua if attempt else None)
 
 
 def certificate_to_decomposition(cert: DiagonalGramCertificate,
@@ -300,11 +296,10 @@ def verify_ffcnm(fam: FfcnmFamily, g: GramSystem, tol: float = 1e-8) -> FfcnmRep
         raise InputError(f"family K={fam.k} but Gram system K={g.k}")
     normal = max(normality_residual(m) for m in fam.matrices.values())
     commute = _worst_commutation(fam.matrices)
+    w = g.vectors.reshape(g.k, g.dim_a, g.dim_b)  # w[:, m] holds w_m0 .. w_m(N-1)
     relation = 0.0
     for (m, kk), mat in fam.matrices.items():
-        for n in range(g.dim_b):
-            relation = max(relation, float(
-                np.linalg.norm(mat @ g.vector(kk, n) - g.vector(m, n))))
+        relation = max(relation, float(np.linalg.norm(mat @ w[:, kk] - w[:, m], axis=0).max()))
     return FfcnmReport(normal, commute, relation, tol)
 
 
@@ -317,9 +312,12 @@ _COMBINATION_SEED = 2007
 _RETRY_ABOVE = 1e-8
 
 
+@functools.lru_cache(maxsize=None)
 def _combination_weights(n_parts: int) -> np.ndarray:
-    """The two real weight vectors joint_diagonalize tries, in order."""
-    return np.random.default_rng(_COMBINATION_SEED).normal(size=(2, n_parts))
+    """The two real weight vectors joint_diagonalize tries, in order (shared, read-only)."""
+    weights = np.random.default_rng(_COMBINATION_SEED).normal(size=(2, n_parts))
+    weights.setflags(write=False)
+    return weights
 
 
 def joint_diagonalize(mats):
@@ -368,13 +366,9 @@ def extract_certificate(fam: FfcnmFamily, g: GramSystem,
     if off > offdiag_tol:
         raise JointDiagonalizationFailed(
             f"off-diagonal residual {off:.3e} exceeds {offdiag_tol:.1e}")
-    k = fam.k
-    diagonals = np.ones((m_dim, k), dtype=complex)
-    for row, d in zip(range(1, m_dim), diags):
-        diagonals[row] = d
-    frame = np.empty((g.dim_b, k), dtype=complex)
-    for n in range(g.dim_b):
-        frame[n] = u.conj().T @ g.vector(0, n)
+    diagonals = np.ones((m_dim, fam.k), dtype=complex)
+    diagonals[1:] = diags
+    frame = (u.conj().T @ g.vectors[:, :g.dim_b]).T  # v_n = U^dag w_0n
     return DiagonalGramCertificate(g.dim_a, g.dim_b, diagonals, frame)
 
 
@@ -386,8 +380,8 @@ def certificate_to_json_dict(cert: DiagonalGramCertificate) -> dict:
         "k": cert.k,
         "m": cert.dim_a,
         "n": cert.dim_b,
-        "d": [densmat.vector_to_lists(row) for row in cert.diagonals],
-        "v": [densmat.vector_to_lists(row) for row in cert.frame],
+        "d": densmat.matrix_to_lists(cert.diagonals),
+        "v": densmat.matrix_to_lists(cert.frame),
     }
     if cert.basis_a is not None:
         out["basis_a"] = densmat.matrix_to_lists(cert.basis_a)

@@ -131,14 +131,16 @@ def canonical_form(rho: DensityMatrix) -> CanonicalForm2xN:
         raise SingularC(float(evals[0]))
     c_inv_half = (evecs / np.sqrt(evals)) @ evecs.conj().T
     c_half = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    t = np.kron(np.eye(2), c_inv_half)
+    t = np.zeros((2 * n, 2 * n), dtype=complex)  # I (x) C^{-1/2}
+    t[:n, :n] = t[n:, n:] = c_inv_half
     rc = t @ rho.mat @ t
     rc = (rc + rc.conj().T) / 2
     a = rc[:n, :n]
     b = rc[:n, n:]
     a_scale = max(float(np.abs(a).max()), 1e-300)
     gap_rho = a - b @ b.conj().T
-    lam = factor_psd((gap_rho + gap_rho.conj().T) / 2, rel_tol=densmat.RANK_TOL, scale=a_scale)
+    gap_rho = (gap_rho + gap_rho.conj().T) / 2  # exactly Hermitian: no factor_psd check
+    lam = _factor_from_eigh(*np.linalg.eigh(gap_rho), densmat.RANK_TOL, a_scale)
     gap = a - b.conj().T @ b
     gap = (gap + gap.conj().T) / 2
     gap_evals, gap_evecs = np.linalg.eigh(gap)
@@ -681,7 +683,7 @@ def deflate_b_support(rho: DensityMatrix, rel_tol: float = densmat.RANK_TOL
     """Restrict the B side to the support of tr_A rho.
 
     Returns the reduced state and the isometry Y with psi = Y psi' mapping
-    reduced B-side vectors back to the original space.
+    reduced B-side vectors back to the original space (2x1 and unvalidated if Y is one column).
     """
     n = rho.dim_b
     rho_b = rho.block(0, 0) + rho.block(1, 1)
@@ -692,6 +694,8 @@ def deflate_b_support(rho: DensityMatrix, rel_tol: float = densmat.RANK_TOL
         return rho, np.eye(n, dtype=complex)
     iso = np.kron(np.eye(2), y)
     reduced = iso.conj().T @ rho.mat @ iso
+    if y.shape[1] == 1:  # rho = sigma_A (x) |f><f|, too narrow for validate_density
+        return DensityMatrix(2, 1, reduced, tol=rho.tol, unnormalized=rho.unnormalized), y
     red = densmat.validate_density(reduced, 2, y.shape[1], tol=rho.tol,
                                    unnormalized=rho.unnormalized)
     return red, y

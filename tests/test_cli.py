@@ -108,6 +108,33 @@ def test_analyze_canonicalizes_with_both_diagonal_blocks_singular():
         assert rep["verdict"] == "separable_certified", rep.get("note")
 
 
+def test_analyze_certifies_a_one_dimensional_b_support():
+    """sigma_A (x) |f><f| has both diagonal blocks singular and tr_A rho of
+    rank one; it is certified from the eigenvectors of sigma_A."""
+    rng = np.random.default_rng(5)
+    f3 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    sigma = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    for a, f in ((np.eye(2) / 2, np.eye(2)[0]), (np.eye(2) / 2, np.eye(3)[0]),
+                 (sigma, f3 / np.linalg.norm(f3))):
+        rho = densmat.validate_density(np.kron(a, np.outer(f, f.conj())), 2, len(f))
+        rep = cli.analyze_state(rho)
+        assert (rep["verdict"], rep["terms"]) == ("separable_certified", 2), rep.get("note")
+        assert rep["residuals"]["certificate"] <= 1e-12
+        cert = sep.certificate_from_json_dict(rep["certificate"])
+        assert sep.verify_certificate(cert, rho, tol=1e-12).passed
+
+
+def test_timings_cover_the_certificate_check():
+    """--timings has a verify stage where certify() runs; reports without
+    timings carry no timing at all."""
+    rep = cli.analyze_state(states.werner(0.2), with_timings=True)
+    assert rep["verdict"] == "separable_certified"
+    assert set(rep["timings"]) == {"spectral", "canonical", "solver", "extract", "verify"}
+    rep = cli.analyze_state(states.werner(0.5), with_timings=True)
+    assert rep["verdict"] == "entangled_npt" and "verify" not in rep["timings"]
+    assert "timings" not in cli.analyze_state(states.werner(0.2))
+
+
 def test_scalar_completion_decides_every_n():
     """(N+1, N+1) states go to the scalar solver on every N; a rejection
     claims entanglement only on 2x4, where it is the range criterion."""

@@ -1,5 +1,7 @@
 """Certificates, their round trips, and the commuting-family machinery."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -260,9 +262,84 @@ def test_extract_certificate_already_diagonal():
     assert verify_certificate(cert2, rho, tol=1e-9).passed
 
 
+def zero_diagonal_certificate():
+    """A certificate whose A basis is Givens-turned (basis_a set), and its state."""
+    phis = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)
+    psis = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex) / np.sqrt(2)
+    sd = SeparableDecomposition(2, 3, phis, psis)
+    cert = decomposition_to_certificate(sd)
+    assert cert.basis_a is not None
+    return cert, densmat.validate_density(sd.density(), 2, 3, unnormalized=True)
+
+
+def pairs(arr):
+    """The per-entry [re, im] form that the JSON helpers build in one call."""
+    if arr.ndim == 1:
+        return [[float(np.real(z)), float(np.imag(z))] for z in arr]
+    return [pairs(row) for row in arr]
+
+
+def per_entry_gram(cert):
+    """w_mn = D_m v_n filled column by column."""
+    w = np.empty((cert.k, cert.dim_a * cert.dim_b), dtype=complex)
+    for m in range(cert.dim_a):
+        for n in range(cert.dim_b):
+            w[:, m * cert.dim_b + n] = cert.diagonals[m] * cert.frame[n]
+    return w
+
+
 def test_certificate_json_round_trip():
     _, sd = random_separable_pair(2, 3, 4, seed=15)
-    cert = decomposition_to_certificate(sd)
-    again = sep.certificate_from_json_dict(sep.certificate_to_json_dict(cert))
-    assert np.abs(again.diagonals - cert.diagonals).max() < 1e-15
-    assert np.abs(again.frame - cert.frame).max() < 1e-15
+    turned, _ = zero_diagonal_certificate()
+    for cert in (decomposition_to_certificate(sd), turned):
+        payload = sep.certificate_to_json_dict(cert)
+        assert payload["d"] == pairs(cert.diagonals)
+        assert payload["v"] == pairs(cert.frame)
+        assert payload.get("basis_a") == (None if cert.basis_a is None else pairs(cert.basis_a))
+        again = sep.certificate_from_json_dict(json.loads(json.dumps(payload)))
+        assert np.array_equal(again.diagonals, cert.diagonals)
+        assert np.array_equal(again.frame, cert.frame)
+        assert (again.basis_a is None) == (cert.basis_a is None)
+        if cert.basis_a is not None:
+            assert np.array_equal(again.basis_a, cert.basis_a)
+    assert densmat.vector_to_lists(sd.psis[0]) == pairs(sd.psis[0])
+
+
+def test_gram_system_and_verification_match_the_per_entry_forms():
+    certs = [(decomposition_to_certificate(sd), rho)
+             for rho, sd in (random_separable_pair(2, 3, 5, 2), random_separable_pair(3, 4, 7, 5))]
+    certs.append(zero_diagonal_certificate())
+    for cert, rho in certs:
+        w = per_entry_gram(cert)
+        assert np.array_equal(cert.gram_system().vectors, w)
+        ua, ub = cert.local_frame()
+        u = np.kron(ua, ub)
+        dev = np.abs(w.conj().T @ w - u.conj().T @ rho.mat @ u).max()
+        assert verify_certificate(cert, rho).max_deviation == dev < 1e-12
+
+
+def test_verify_ffcnm_and_extraction_match_the_per_column_forms():
+    rng = np.random.default_rng(31)
+    for m, n, k, seed in [(2, 3, 5, 1), (3, 4, 12, 4)]:
+        _, sd = random_separable_pair(m, n, k, seed)
+        u = states.random_unitary(k, rng)
+        cert = decomposition_to_certificate(sd)
+        fam = build_ffcnm(cert, u)
+        g = gram.embed_gram(cert.gram_system(), u)
+        g = gram.GramSystem(m, n, g.vectors + 1e-3 * rng.normal(size=g.vectors.shape))
+        relation = max(np.linalg.norm(mat @ g.vector(kk, j) - g.vector(mm, j))
+                       for (mm, kk), mat in fam.matrices.items() for j in range(n))
+        # one product per slab sums in another order: a few ulps of the O(1)
+        # entries, never more
+        assert abs(verify_ffcnm(fam, g).relation - relation) < 1e-14
+        v, _, _ = joint_diagonalize([fam.matrices[(mm, 0)] for mm in range(1, m)])
+        frame = np.array([v.conj().T @ g.vector(0, j) for j in range(n)])
+        assert np.abs(extract_certificate(fam, g).frame - frame).max() < 1e-14
+
+
+def test_combination_weights_are_shared_and_read_only():
+    weights = sep._combination_weights(4)
+    assert sep._combination_weights(4) is weights
+    assert np.array_equal(weights, np.random.default_rng(2007).normal(size=(2, 4)))
+    with pytest.raises(ValueError):
+        weights[0, 0] = 0.0

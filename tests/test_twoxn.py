@@ -68,6 +68,22 @@ def test_canonical_form_recovers_horodecki_blocks():
     assert abs(overlap2 - 1) < 1e-12
 
 
+def test_canonical_form_is_bitwise_the_kron_formula():
+    """The blocks placed into a zero matrix give the same bits as
+    I (x) C^{-1/2} built by np.kron, and Lam is factor_psd of the gap."""
+    for m, n, k, seed in [(2, 3, 4, 0), (2, 4, 5, 1), (2, 4, 8, 2), (2, 5, 9, 3)]:
+        rho = states.random_separable(m, n, k, seed)[0]
+        cf = canonical_form(rho)
+        t = np.kron(np.eye(2), cf.c_inv_half)
+        rc = t @ rho.mat @ t
+        rc = (rc + rc.conj().T) / 2
+        assert np.array_equal(cf.a, rc[:n, :n]) and np.array_equal(cf.b, rc[:n, n:])
+        gap = cf.a - cf.b @ cf.b.conj().T
+        lam = factor_psd((gap + gap.conj().T) / 2, rel_tol=densmat.RANK_TOL,
+                         scale=max(float(np.abs(cf.a).max()), 1e-300))
+        assert np.array_equal(cf.lam, lam)
+
+
 def test_canonical_form_singular_c():
     vec = np.kron([1, 0], [1, 0, 0])
     rho = densmat.validate_density(np.outer(vec, vec), 2, 3)
