@@ -65,8 +65,11 @@ def as_complex_matrix(mat) -> np.ndarray:
 
 
 def hermitian_deviation(mat: np.ndarray) -> float:
-    """Max-entry deviation from Hermiticity, relative to the largest entry."""
+    """Max-entry deviation from Hermiticity, relative to the largest entry;
+    InputError on a NaN or infinite entry, which that entry shows before any arithmetic."""
     scale = np.abs(mat).max()
+    if not scale < np.inf:  # NaN fails the comparison too
+        raise InputError("matrix has a NaN or infinite entry")
     if scale == 0.0:
         return 0.0
     return np.abs(mat - mat.conj().T).max() / scale
@@ -83,8 +86,8 @@ def hermitian_eigh(mat: np.ndarray):
 def nonzero_eigenvalues(evals: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndarray:
     """Mask of the eigenvalues counted in the numeric rank, |eig| > rel_tol * max|eig|;
     the eigenvectors of the others span the numeric kernel."""
-    scale = np.abs(evals).max() if evals.size else 0.0
-    return np.abs(evals) > rel_tol * scale
+    mags = np.abs(evals)
+    return mags > rel_tol * (mags.max() if mags.size else 0.0)
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,8 @@ def validate_density(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL,
     """Validate Hermiticity, positivity and trace; return a DensityMatrix.
 
     Raises SizeMismatch / NotHermitian / NotPSD / TraceDeviation with the
-    offending quantity attached.
+    offending quantity attached, and InputError on a NaN or infinite entry
+    and on the zero operator.
     """
     if dim_a < 2 or dim_b < dim_a:
         raise InputError(f"need 2 <= dim_a <= dim_b, got ({dim_a},{dim_b})")
@@ -148,9 +152,11 @@ def validate_density(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL,
     evals = rho.spectrum.eigenvalues
     if evals[0] < -tol * max(evals[-1], 1e-300):
         raise NotPSD(evals[0])
-    tr = np.trace(m).real
+    if evals[-1] <= 0.0:
+        raise InputError("matrix is the zero operator, which is no state")
+    tr = m.trace().real
     if not unnormalized and abs(tr - 1.0) > tol * max(1.0, abs(tr)):
-        raise TraceDeviation(np.trace(m))
+        raise TraceDeviation(m.trace())
     return rho
 
 
@@ -210,9 +216,8 @@ def is_ppt(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
 
 def rank_pattern(rho: DensityMatrix, rel_tol: float = RANK_TOL) -> tuple[int, int]:
     """(rank rho, rank rho^{T_A})."""
-    r, rt = (int(np.sum(nonzero_eigenvalues(evals, rel_tol)))
-             for evals, _ in (rho.spectrum, rho.pt_spectrum))
-    return r, rt
+    return (int(np.count_nonzero(nonzero_eigenvalues(rho.spectrum.eigenvalues, rel_tol))),
+            int(np.count_nonzero(nonzero_eigenvalues(rho.pt_spectrum.eigenvalues, rel_tol))))
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +239,19 @@ vector_to_lists = matrix_to_lists
 
 def lists_to_matrix(data) -> np.ndarray:
     try:
-        arr = np.asarray(data, dtype=float)
+        arr = np.ascontiguousarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed complex matrix data: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise InputError("matrix data must be nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex)[..., 0]  # no arithmetic, so a non-finite part stays as it is
 
 
 def lists_to_vector(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = np.ascontiguousarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InputError("vector data must be a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return arr.view(complex)[:, 0]
 
 
 def state_to_json_dict(rho: DensityMatrix) -> dict:

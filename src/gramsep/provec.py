@@ -359,9 +359,12 @@ def subtract_product_projector(rho: DensityMatrix, e: np.ndarray, f: np.ndarray,
     weight = 1.0 / quad
     residue = rho.mat - weight * np.outer(v, v.conj())
     if np.abs(residue).max() < 1e-13 * max(np.abs(rho.mat).max(), 1e-300):
-        residue = np.zeros_like(residue)
-    rho_prime = densmat.validate_density(residue, rho.dim_a, rho.dim_b,
-                                         tol=rho.tol, unnormalized=True)
+        # a pure state minus itself: zero, which validate_density rejects as a state
+        rho_prime = densmat.DensityMatrix(rho.dim_a, rho.dim_b, np.zeros_like(residue),
+                                          tol=rho.tol, unnormalized=True)
+    else:
+        rho_prime = densmat.validate_density(residue, rho.dim_a, rho.dim_b,
+                                             tol=rho.tol, unnormalized=True)
     after = densmat.nonzero_eigenvalues(rho_prime.spectrum.eigenvalues)
     return SubtractionResult(rho_prime, weight, int(np.sum(keep)) - int(np.sum(after)))
 

@@ -168,32 +168,29 @@ def decomposition_to_certificate(sd: SeparableDecomposition,
     on the offending pair (up to 8 angles) so every diagonal is nonsingular.
     """
     m_dim = sd.dim_a
-    ua = np.eye(m_dim, dtype=complex)
+    ua = None  # the computational basis until a Givens turn is applied
     scale = max(float(np.abs(sd.phis).max()), 1e-300)
     for attempt in range(9):
-        diag = (ua.conj().T @ sd.phis.T).conj()  # M x K, entry [m, l] = <phi_l|e'_m>
-        bad = np.argwhere(np.abs(diag) <= SINGULAR_DIAG_TOL * scale)
-        if bad.size == 0 or not enforce_nonsingular:
+        diag = (sd.phis.T if ua is None else ua.conj().T @ sd.phis.T).conj()  # [m, l] = <phi_l|e'_m>
+        small = np.abs(diag) <= SINGULAR_DIAG_TOL * scale
+        if not enforce_nonsingular or not small.any():
             break
         if attempt == 8:
             raise ZeroDiagonal(
                 "could not remove zero diagonals by basis perturbation")
-        m = int(bad[0][0])
-        ua = ua @ _givens(m_dim, m, (m + 1) % m_dim, (attempt + 1) * 1e-3)
-    frame = sd.psis.T.conj()  # N x K
-    # attempt counts the Givens turns applied before the loop broke
-    return DiagonalGramCertificate(sd.dim_a, sd.dim_b, diag, frame,
-                                   basis_a=ua if attempt else None)
+        m = int(small.any(axis=1).argmax())
+        turn = _givens(m_dim, m, (m + 1) % m_dim, (attempt + 1) * 1e-3)
+        ua = turn if ua is None else ua @ turn
+    return DiagonalGramCertificate(sd.dim_a, sd.dim_b, diag, sd.psis.T.conj(), basis_a=ua)
 
 
 def certificate_to_decomposition(cert: DiagonalGramCertificate,
                                  rho: DensityMatrix | None = None,
                                  tol: float = 1e-9) -> SeparableDecomposition:
     """Read the product decomposition off a certificate."""
-    ua, ub = cert.local_frame()
-    phis = (ua @ cert.diagonals.conj()).T  # K x M
-    psis = (ub @ cert.frame.conj()).T      # K x N
-    sd = SeparableDecomposition(cert.dim_a, cert.dim_b, phis, psis)
+    phis = cert.diagonals.conj() if cert.basis_a is None else cert.basis_a @ cert.diagonals.conj()
+    psis = cert.frame.conj() if cert.basis_b is None else cert.basis_b @ cert.frame.conj()
+    sd = SeparableDecomposition(cert.dim_a, cert.dim_b, phis.T, psis.T)
     if rho is not None:
         res = sd.residual(rho)
         if res > tol * max(1.0, float(np.abs(rho.mat).max())):
@@ -233,7 +230,8 @@ def normality_residual(m: np.ndarray) -> float:
     nrm = np.linalg.norm(m)
     if nrm == 0.0:
         return 0.0
-    comm = m @ m.conj().T - m.conj().T @ m
+    mh = m.conj().T
+    comm = m @ mh - mh @ m
     return float(np.linalg.norm(comm) / nrm**2)
 
 
@@ -331,18 +329,21 @@ def joint_diagonalize(mats):
     residual above 1e-8 then retries once with a second fixed combination and
     keeps the better one.  Returns (u, diagonals, off_residual) with
     u^dag M u ~ diag for every input M; off_residual is the worst
-    ||offdiag(u^dag M u)||_F / ||u^dag M u||_F.
+    ||offdiag(u^dag M u)||_F / ||u^dag M u||_F.  Weights (a_j, b_j) on (H_j, K_j)
+    make twice the combination C + C^dag, C = sum_j (a_j - i b_j) M_j.
     """
-    mats = np.array([densmat.as_complex_matrix(m) for m in mats])
-    adj = mats.conj().swapaxes(1, 2)
-    parts = np.concatenate([(mats + adj) / 2, (mats - adj) / 2j])
+    mats = np.array(mats, dtype=complex)
+    count, k = mats.shape[:2]
     best = None
-    for weights in _combination_weights(len(parts)):
-        _, u = np.linalg.eigh(np.tensordot(weights, parts, axes=1))
+    for weights in _combination_weights(2 * count):
+        c = ((weights[:count] - 1j * weights[count:]) @ mats.reshape(count, -1)).reshape(k, k)
+        _, u = np.linalg.eigh(c + c.conj().T)
         t = u.conj().T @ mats @ u
-        diags = np.diagonal(t, axis1=1, axis2=2)
-        off_norm = np.linalg.norm(t - diags[:, :, None] * np.eye(len(u)), axis=(1, 2))
-        off = float(np.max(off_norm / np.maximum(np.linalg.norm(t, axis=(1, 2)), 1e-300)))
+        diags = t.diagonal(axis1=1, axis2=2).copy()
+        square = (t.conj() * t).real.reshape(count, -1)  # |entry|^2 per member
+        size = square.sum(axis=1)
+        square[:, ::k + 1] = 0.0  # what is left is offdiag(u^dag M u)
+        off = float(np.sqrt((square.sum(axis=1) / np.maximum(size, 1e-300)).max()))
         if best is None or off < best[2]:
             best = (u, diags, off)
         if off <= _RETRY_ABOVE:

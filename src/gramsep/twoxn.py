@@ -81,13 +81,12 @@ def _factor_from_eigh(evals, evecs, rel_tol, scale):
         scale = max(evals.max(), 0.0) if evals.size else 0.0
     if evals.size and evals[0] < -max(rel_tol, 1e-8) * max(scale, 1e-300):
         raise NotPSD(evals[0])
-    keep = evals > rel_tol * max(scale, 1e-300)
-    lam = evals[keep][::-1]
-    vecs = evecs[:, keep][:, ::-1]
-    cols = [gram.phase_fix(vecs[:, i]) * np.sqrt(lam[i]) for i in range(lam.size)]
-    if not cols:
-        return np.zeros((evecs.shape[0], 0), dtype=complex)
-    return np.column_stack(cols)
+    width = int(np.count_nonzero(evals > rel_tol * max(scale, 1e-300)))  # the top ones
+    lam, vecs = evals[::-1][:width], evecs[:, ::-1][:, :width]
+    # gram.phase_fix of every column at once: its largest entry turns real positive;
+    # the phases take numpy's scalar abs and division, as there, so the bits agree
+    pivot = vecs[np.abs(vecs).argmax(axis=0), np.arange(width)]
+    return vecs * np.array([abs(p) / p for p in pivot], dtype=complex) * np.sqrt(lam)
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,11 @@ def canonical_form(rho: DensityMatrix) -> CanonicalForm2xN:
     n = rho.dim_b
     c = rho.block(1, 1)
     evals, evecs = np.linalg.eigh((c + c.conj().T) / 2)
-    top = max(evals.max(), 0.0)
-    if evals[0] <= _SING_TOL * max(top, 1e-300):
+    if evals[0] <= _SING_TOL * max(evals[-1], 1e-300):
         raise SingularC(float(evals[0]))
-    c_inv_half = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    c_half = (evecs * np.sqrt(evals)) @ evecs.conj().T
+    root, evecs_h = np.sqrt(evals), evecs.conj().T
+    c_inv_half = (evecs / root) @ evecs_h
+    c_half = (evecs * root) @ evecs_h
     t = np.zeros((2 * n, 2 * n), dtype=complex)  # I (x) C^{-1/2}
     t[:n, :n] = t[n:, n:] = c_inv_half
     rc = t @ rho.mat @ t
@@ -138,10 +137,11 @@ def canonical_form(rho: DensityMatrix) -> CanonicalForm2xN:
     a = rc[:n, :n]
     b = rc[:n, n:]
     a_scale = max(float(np.abs(a).max()), 1e-300)
-    gap_rho = a - b @ b.conj().T
+    bh = b.conj().T
+    gap_rho = a - b @ bh
     gap_rho = (gap_rho + gap_rho.conj().T) / 2  # exactly Hermitian: no factor_psd check
     lam = _factor_from_eigh(*np.linalg.eigh(gap_rho), densmat.RANK_TOL, a_scale)
-    gap = a - b.conj().T @ b
+    gap = a - bh @ b
     gap = (gap + gap.conj().T) / 2
     gap_evals, gap_evecs = np.linalg.eigh(gap)
     gap_min = float(gap_evals[0])
@@ -248,9 +248,9 @@ def solve_extension_55(ep: ExtensionProblem, accept_tol: float = 1e-8) -> Extens
     bmat, lvec, tvec = ep.b, ep.lam[:, 0], ep.lam_tilde0.conj().T[:, 0]
     bt = bmat @ tvec
     bl = bmat.conj().T @ lvec
-    cols = [bt - bl, 1j * (bt + bl), lvec - tvec, -1j * (lvec + tvec)]
-    sys = np.array([[c.real, c.imag] for c in cols]).reshape(4, -1).T
-    _, svals, vh = np.linalg.svd(sys)
+    cols = np.stack([bt - bl, 1j * (bt + bl), lvec - tvec, -1j * (lvec + tvec)])
+    sys = np.concatenate([cols.real, cols.imag], axis=1).T
+    _, svals, vh = np.linalg.svd(sys, full_matrices=False)
     scale = float(np.linalg.norm(bmat) * (np.linalg.norm(lvec) + np.linalg.norm(tvec)))
     kernel = vh[-1]
     a = kernel[0] + 1j * kernel[1]
@@ -271,15 +271,16 @@ def solve_extension_55(ep: ExtensionProblem, accept_tol: float = 1e-8) -> Extens
     a, c = a / abs(a), c / abs(a)
     s = c / a
     mu = np.conj(a) ** 2
-    eq = (bmat - s * np.eye(ep.n)) @ tvec - mu * (bmat.conj().T - np.conj(s) * np.eye(ep.n)) @ lvec
+    eq = bt - s * tvec - mu * (bl - np.conj(s) * lvec)  # (B - s) Lamt - mu (B^dag - s*) Lam
     eq_res = float(np.linalg.norm(eq))
     half = np.sqrt(mu)
     r = (half * lvec)[:, None]
     t = (np.conj(half) * tvec)[None, :].conj()
-    m = assemble(bmat, r, t, np.array([[s]]))
+    s_block = np.array([[s]])
+    m = assemble(bmat, r, t, s_block)
     norm_res = sep.normality_residual(m)
     accepted = eq_res <= accept_tol * max(scale, 1e-300)
-    return ExtensionSolution(m, np.array([[s]]), r, t, norm_res, eq_res, accepted,
+    return ExtensionSolution(m, s_block, r, t, norm_res, eq_res, accepted,
                              "rank1_linear", {"s": s, "mu": mu})
 
 
@@ -666,13 +667,12 @@ def extension_to_decomposition(cf: CanonicalForm2xN, sol: ExtensionSolution,
     g = companion_gram(cf, sol.r_block)
     fam = sep.FfcnmFamily(g.k, {(1, 0): sol.matrix.conj().T})
     report = sep.verify_ffcnm(fam, g)
-    cert_hat = sep.extract_certificate(fam, g)
-    sd_hat = sep.certificate_to_decomposition(cert_hat)
-    phis = sd_hat.phis[:, ::-1]            # undo the A-side swap
-    psis = sd_hat.psis @ cf.c_half.T       # psi -> C^{1/2} psi
+    cert_hat = sep.extract_certificate(fam, g)  # no local bases: phi = D^*, psi = v^*
+    phis = cert_hat.diagonals[::-1].conj().T     # undo the A-side swap
+    psis = cert_hat.frame.conj().T @ cf.c_half.T  # psi -> C^{1/2} psi
     sd = sep.SeparableDecomposition(2, cf.n, phis, psis)
     res = sd.residual(rho)
-    if res > tol * max(1.0, float(np.abs(rho.mat).max())):
+    if res > tol and res > tol * float(np.abs(rho.mat).max()):  # res > tol max(1, max|rho|)
         raise sep.CertificateInvalid(
             f"extension-derived decomposition misses rho by {res:.3e}")
     return sd, report

@@ -347,6 +347,34 @@ def test_invalid_state_exit_code(tmp_path, capsys):
     assert code == 1  # trace is 4, not 1
 
 
+def test_non_finite_entries_are_input_errors(tmp_path, capsys):
+    """A NaN or infinite entry, in either part, exits 1 before any arithmetic
+    (the suite turns a RuntimeWarning into an error); before, NaN reached
+    eigh and exited 2 as a numerical failure."""
+    payload = densmat.state_to_json_dict(states.werner(0.2))
+    for part in (0, 1):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            bad = json.loads(json.dumps(payload))
+            bad["data"][1][2][part] = value
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad))  # Python's json writes NaN and Infinity
+            for command in ("analyze", "gram"):
+                code, out, err = run_cli(capsys, command, str(path))
+                assert (code, out) == (1, ""), (command, part, value)
+                assert "NaN or infinite entry" in err
+
+
+def test_zero_operator_is_an_input_error(tmp_path, capsys):
+    payload = {"m": 2, "n": 3, "unnormalized": True,
+               "data": densmat.matrix_to_lists(np.zeros((6, 6)))}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(payload))
+    for command in ("analyze", "gram"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert "zero operator" in err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     path = write_state(tmp_path, "w.json", states.werner(0.2))
 

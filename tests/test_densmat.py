@@ -68,6 +68,24 @@ def test_validate_trace_and_size():
     assert rho.unnormalized
 
 
+def test_validate_rejects_non_finite_entries():
+    """NaN passes every comparison of the Hermiticity test and inf makes
+    m - m^dag warn; both are rejected before that arithmetic, on the largest
+    entry the test takes anyway (the suite turns RuntimeWarning into errors)."""
+    for value in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(0.1, np.nan)):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[1, 2] = value
+        for unnormalized in (False, True):
+            with pytest.raises(InputError, match="NaN or infinite"):
+                validate_density(mat, 2, 2, unnormalized=unnormalized)
+
+
+def test_validate_rejects_the_zero_operator():
+    for unnormalized in (True, False):
+        with pytest.raises(InputError, match="zero operator"):
+            validate_density(np.zeros((6, 6)), 2, 3, unnormalized=unnormalized)
+
+
 def test_partial_transpose_diagonal_invariant():
     rho = validate_density(np.diag([0.4, 0.3, 0.2, 0.1]), 2, 2)
     assert np.abs(partial_transpose(rho, "A") - rho.mat).max() == 0.0

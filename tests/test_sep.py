@@ -343,3 +343,84 @@ def test_combination_weights_are_shared_and_read_only():
     assert np.array_equal(weights, np.random.default_rng(2007).normal(size=(2, 4)))
     with pytest.raises(ValueError):
         weights[0, 0] = 0.0
+
+
+def stacked_parts_diagonalize(mats):
+    """joint_diagonalize built from the stacked Hermitian parts H = (M + M^dag)/2
+    and K = (M - M^dag)/2i, combined by tensordot, off-diagonals through np.eye."""
+    mats = np.array(mats, dtype=complex)
+    adj = mats.conj().swapaxes(1, 2)
+    parts = np.concatenate([(mats + adj) / 2, (mats - adj) / 2j])
+    best = None
+    for weights in sep._combination_weights(len(parts)):
+        _, u = np.linalg.eigh(np.tensordot(weights, parts, axes=1))
+        t = u.conj().T @ mats @ u
+        diags = np.diagonal(t, axis1=1, axis2=2)
+        off_norm = np.linalg.norm(t - diags[:, :, None] * np.eye(len(u)), axis=(1, 2))
+        off = float(np.max(off_norm / np.maximum(np.linalg.norm(t, axis=(1, 2)), 1e-300)))
+        if best is None or off < best[2]:
+            best = (u, diags, off)
+        if off <= sep._RETRY_ABOVE:
+            break
+    return best
+
+
+def test_joint_diagonalize_is_the_stacked_parts_construction():
+    """c M + (c M)^dag is twice the weighted sum of the parts: the same
+    eigenvectors, so the same diagonals and residual up to rounding, on
+    commuting normal families of one, two and three members, and on a
+    family with a non-normal member, where both combinations are tried."""
+    rng = np.random.default_rng(41)
+    for count, k in [(1, 4), (1, 8), (2, 6), (3, 5)]:
+        u = states.random_unitary(k, rng)
+        mats = [(u * (rng.normal(size=k) + 1j * rng.normal(size=k))) @ u.conj().T
+                for _ in range(count)]
+        skewed = [mats[0] + np.triu(rng.normal(size=(k, k)), 1)] + mats[1:]
+        for family in (mats, skewed):
+            _, diags, off = joint_diagonalize(family)
+            _, want_diags, want_off = stacked_parts_diagonalize(family)
+            assert abs(off - want_off) < 1e-12
+            assert np.abs(np.sort_complex(diags) - np.sort_complex(want_diags)).max() < 1e-12
+
+
+def certificate_with_identity_bases(sd):
+    """decomposition_to_certificate with the A basis an explicit matrix from
+    the start: (diagonals, frame, basis_a)."""
+    ua = np.eye(sd.dim_a, dtype=complex)
+    scale = max(float(np.abs(sd.phis).max()), 1e-300)
+    for attempt in range(9):
+        diag = (ua.conj().T @ sd.phis.T).conj()
+        bad = np.argwhere(np.abs(diag) <= sep.SINGULAR_DIAG_TOL * scale)
+        if bad.size == 0:
+            return diag, sd.psis.T.conj(), ua
+        m = int(bad[0][0])
+        ua = ua @ sep._givens(sd.dim_a, m, (m + 1) % sd.dim_a, (attempt + 1) * 1e-3)
+    raise AssertionError("no nonsingular basis in 8 turns")
+
+
+def test_certificate_conversions_are_the_identity_basis_products():
+    """Both conversions skip the products with an identity local basis;
+    np.array_equal (which equates -0.0 and 0.0) finds the same arrays as the
+    products with explicit identity bases, with no Givens turn, one or two."""
+    decompositions = [random_separable_pair(2, 3, 5, 2)[1], random_separable_pair(3, 4, 7, 5)[1],
+                      SeparableDecomposition(2, 3, np.array([[1.0, 0.0], [0.6, 0.8]]),
+                                             np.array([[0, 1, 0], [1, 0, 0]]) / np.sqrt(2)),
+                      SeparableDecomposition(3, 2, np.array([[1, 1, 0], [0, 1, 1]]) / np.sqrt(2),
+                                             np.eye(2))]
+    turns = []
+    for sd in decompositions:
+        diag, frame, ua = certificate_with_identity_bases(sd)
+        cert = decomposition_to_certificate(sd)
+        assert np.array_equal(cert.diagonals, diag) and np.array_equal(cert.frame, frame)
+        assert np.array_equal(cert.local_frame()[0], ua) and cert.basis_b is None
+        turns.append(cert.basis_a is not None)
+        back = certificate_to_decomposition(cert)
+        assert np.array_equal(back.phis, (ua @ cert.diagonals.conj()).T)
+        assert np.array_equal(back.psis, (np.eye(sd.dim_b) @ cert.frame.conj()).T)
+    assert turns == [False, False, True, True]
+    # a B basis is applied as its product
+    cert = decomposition_to_certificate(decompositions[0])
+    ub = states.random_unitary(3, np.random.default_rng(42))
+    back = certificate_to_decomposition(DiagonalGramCertificate(2, 3, cert.diagonals, cert.frame,
+                                                                basis_b=ub))
+    assert np.array_equal(back.psis, (ub @ cert.frame.conj()).T)

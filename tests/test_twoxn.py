@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gramsep import densmat, sep, states, twoxn
+from gramsep import densmat, gram, sep, states, twoxn
 from gramsep.twoxn import (
     NotPPT, NotSelfPT, RankMismatch, SingularC, assemble, canonical_form,
     companion_gram, extension_to_decomposition, factor_psd, known_part,
@@ -119,6 +119,25 @@ def test_factor_psd_horodecki_gap():
     assert f.shape == (4, 1)
     overlap = abs(np.vdot(f[:, 0], lam_tilde)) / (np.linalg.norm(f) * np.linalg.norm(lam_tilde))
     assert abs(overlap - 1) < 1e-12
+
+
+def test_factor_phase_fixes_every_column_as_the_per_column_loop():
+    """The factor's columns, phase-fixed in one step, are gram.phase_fix of
+    each kept eigenvector times sqrt(eigenvalue), eigenvalues descending:
+    within 1e-15 relative, and in fact bitwise, so the completion problems
+    and their descents see the same Lam."""
+    rng = np.random.default_rng(51)
+    for n, rank in [(3, 3), (4, 1), (5, 3), (6, 6), (4, 0)]:
+        g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        evals, evecs = np.linalg.eigh(g @ g.conj().T)
+        got = twoxn._factor_from_eigh(evals, evecs, densmat.RANK_TOL, None)
+        keep = evals > densmat.RANK_TOL * max(evals.max(), 0.0)
+        cols = [gram.phase_fix(v) * np.sqrt(lam)
+                for lam, v in zip(evals[keep][::-1], evecs[:, keep][:, ::-1].T)]
+        want = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
+        assert got.shape == want.shape == (n, rank)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-15 * np.abs(want).max(initial=1e-300)
+        assert np.array_equal(got, want)
 
 
 def test_known_part_patterns():
