@@ -9,7 +9,6 @@ heuristic search yields ``ppt_undecided`` rather than an entanglement verdict.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -243,15 +242,22 @@ def _solver_dict(sol: twoxn.ExtensionSolution) -> dict:
 # ---------------------------------------------------------------------------
 # argument parsing and subcommands
 
-def _load_state(path: str, tol: float) -> DensityMatrix:
+def _read_json(path: str):
+    """(parsed JSON, the bytes it was parsed from) of a file; InputError when
+    the file cannot be read or its bytes are not JSON text."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        return json.loads(raw), raw
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return densmat.state_from_json_dict(payload, tol=tol)
+
+
+def _load_state(path: str, tol: float) -> DensityMatrix:
+    return densmat.state_from_json_dict(_read_json(path)[0], tol=tol)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -263,18 +269,19 @@ def _emit(payload: dict, out_path: str | None) -> None:
         print(text)
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _digest(raw: bytes) -> str:
+    import hashlib  # loads OpenSSL, which no other command needs
+    return hashlib.sha256(raw).hexdigest()
 
 
 def cmd_analyze(args) -> int:
     tol = args.tol / 2 if args.strict else args.tol
     cert_tol = 5e-9 if args.strict else 1e-8
-    rho = _load_state(args.state, tol)
+    payload, raw = _read_json(args.state)
+    rho = densmat.state_from_json_dict(payload, tol=tol)
     report = analyze_state(rho, tol=tol, budget=args.budget, seed=args.seed,
                            cert_tol=cert_tol, with_timings=args.timings)
-    report["input"] = {"path": args.state, "sha256": _digest(args.state)}
+    report["input"] = {"path": args.state, "sha256": _digest(raw)}
     _emit(report, args.output)
     return 0
 
@@ -324,15 +331,8 @@ def cmd_provec(args) -> int:
 
 
 def cmd_ffcnm_verify(args) -> int:
-    cert_path, state_path = args.certificate, args.state
-    try:
-        with open(cert_path) as fh:
-            cert = sep.certificate_from_json_dict(json.load(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read {cert_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{cert_path} is not valid JSON: {exc}") from exc
-    rho = _load_state(state_path, args.tol)
+    cert = sep.certificate_from_json_dict(_read_json(args.certificate)[0])
+    rho = _load_state(args.state, args.tol)
     check = sep.verify_certificate(cert, rho, tol=args.tol * 10)
     fam = sep.build_ffcnm(cert)
     fam_report = sep.verify_ffcnm(fam, cert.gram_system(), tol=args.tol * 10)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,8 +89,21 @@ def nonzero_eigenvalues(evals: np.ndarray, rel_tol: float = RANK_TOL) -> np.ndar
     return mags > rel_tol * (mags.max() if mags.size else 0.0)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class ReadOnly:
+    """Base of the records that check or convert their fields in ``__init__``:
+    each ``__init__`` fills the instance dict once, and assigning or deleting
+    an attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class DensityMatrix(ReadOnly):
     """A validated Hermitian PSD operator on an M x N product space.
 
     ``mat`` is stored read-only.  ``unnormalized`` marks states whose trace is
@@ -100,16 +112,11 @@ class DensityMatrix:
     ``spectrum`` and ``pt_spectrum`` are shared by every reader, so read-only.
     """
 
-    dim_a: int
-    dim_b: int
-    mat: np.ndarray
-    tol: float = DEFAULT_TOL
-    unnormalized: bool = False
-
-    def __post_init__(self):
-        m = as_complex_matrix(self.mat)
+    def __init__(self, dim_a: int, dim_b: int, mat: np.ndarray, tol: float = DEFAULT_TOL,
+                 unnormalized: bool = False):
+        m = as_complex_matrix(mat)
         m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        self.__dict__.update(dim_a=dim_a, dim_b=dim_b, mat=m, tol=tol, unnormalized=unnormalized)
 
     @property
     def dim(self) -> int:
@@ -183,16 +190,11 @@ def partial_transpose(rho, subsystem: str = "A", dims=None) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(m * n, m * n))
 
 
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    eigenvalues: np.ndarray  # descending
-    threshold: float
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
+class RankReport(ReadOnly):
+    def __init__(self, rank: int, eigenvalues: np.ndarray, threshold: float):
+        ev = np.asarray(eigenvalues, dtype=float)  # descending
         ev.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
+        self.__dict__.update(rank=rank, eigenvalues=ev, threshold=threshold)
 
 
 def numeric_rank(h, rel_tol: float = RANK_TOL) -> RankReport:

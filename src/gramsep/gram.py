@@ -7,12 +7,12 @@ K x (M*N) matrix W whose column i*N+j is w_ij, so rho = W^dag W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import densmat
-from .densmat import DensityMatrix, InputError, product_index
+from .densmat import DensityMatrix, InputError, ReadOnly, product_index
 
 
 class GramMismatch(InputError):
@@ -40,18 +40,20 @@ def phase_fix(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-@dataclass(frozen=True)
-class GramSystem:
-    dim_a: int
-    dim_b: int
-    vectors: np.ndarray  # K x (dim_a*dim_b), column m*N+n holds w_mn
+def phase_fix_columns(vecs: np.ndarray) -> np.ndarray:
+    """:func:`phase_fix` of every (nonzero) column at once; the phases take
+    numpy's scalar abs and division, as there, so the bits agree."""
+    pivot = vecs[np.abs(vecs).argmax(axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.array([abs(p) / p for p in pivot], dtype=complex)
 
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.vectors, dtype=complex)
-        if w.ndim != 2 or w.shape[1] != self.dim_a * self.dim_b:
-            raise InputError(f"Gram vectors must be K x {self.dim_a * self.dim_b}")
+
+class GramSystem(ReadOnly):
+    def __init__(self, dim_a: int, dim_b: int, vectors: np.ndarray):
+        w = np.ascontiguousarray(vectors, dtype=complex)  # K x MN, column m*N+n holds w_mn
+        if w.ndim != 2 or w.shape[1] != dim_a * dim_b:
+            raise InputError(f"Gram vectors must be K x {dim_a * dim_b}")
         w.setflags(write=False)
-        object.__setattr__(self, "vectors", w)
+        self.__dict__.update(dim_a=dim_a, dim_b=dim_b, vectors=w)
 
     @property
     def k(self) -> int:
@@ -68,20 +70,15 @@ class GramSystem:
         return float(np.abs(self.gram_matrix() - rho.mat).max())
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(ReadOnly):
     """Rank-one decomposition rho = sum_k |Phi_k><Phi_k|; rows of ``terms`` are the Phi_k."""
 
-    dim_a: int
-    dim_b: int
-    terms: np.ndarray  # K x (dim_a*dim_b)
-
-    def __post_init__(self):
-        t = np.ascontiguousarray(self.terms, dtype=complex)
-        if t.ndim != 2 or t.shape[1] != self.dim_a * self.dim_b:
-            raise InputError(f"decomposition terms must be K x {self.dim_a * self.dim_b}")
+    def __init__(self, dim_a: int, dim_b: int, terms: np.ndarray):
+        t = np.ascontiguousarray(terms, dtype=complex)  # K x (dim_a*dim_b)
+        if t.ndim != 2 or t.shape[1] != dim_a * dim_b:
+            raise InputError(f"decomposition terms must be K x {dim_a * dim_b}")
         t.setflags(write=False)
-        object.__setattr__(self, "terms", t)
+        self.__dict__.update(dim_a=dim_a, dim_b=dim_b, terms=t)
 
     @property
     def k(self) -> int:
@@ -104,8 +101,7 @@ def spectral_decomposition(rho: DensityMatrix, rel_tol: float = densmat.RANK_TOL
     keep = densmat.nonzero_eigenvalues(evals, rel_tol) & (evals > 0)
     lam = evals[keep][::-1]
     vecs = evecs[:, keep][:, ::-1]
-    terms = (vecs * np.sqrt(lam)).T
-    terms = np.array([phase_fix(t) for t in terms])
+    terms = phase_fix_columns(vecs * np.sqrt(lam)).T
     # stable order: descending eigenvalue, then lexicographic within exact ties
     order = sorted(range(len(lam)),
                    key=lambda l: (-lam[l],) + tuple(zip(terms[l].real.round(12),
@@ -139,8 +135,7 @@ def embed_gram(g: GramSystem, v: np.ndarray, tol: float = 1e-10) -> GramSystem:
     return GramSystem(g.dim_a, g.dim_b, v @ g.vectors)
 
 
-@dataclass(frozen=True)
-class ConnectResult:
+class ConnectResult(NamedTuple):
     u: np.ndarray
     residual: float          # max_nu ||U w1_nu - w2_nu||
     unitary_residual: float  # ||U^dag U - I||_max
@@ -184,8 +179,7 @@ def connect_gram(g1: GramSystem, g2: GramSystem, tol: float = 1e-8) -> ConnectRe
     return ConnectResult(u, residual, unitary_residual, rank_deficient=keep.sum() < g1.k)
 
 
-@dataclass(frozen=True)
-class FactorMapSystem:
+class FactorMapSystem(NamedTuple):
     """Maps F_m with w_mn = F_m v_n for a chosen independent base {v_n}.
 
     F_m is pinned down only on span{v_n}; off the span we complete by zero
@@ -225,8 +219,7 @@ def factor_maps(g: GramSystem, base: np.ndarray | None = None,
     return FactorMapSystem(g, base, maps, residual)
 
 
-@dataclass(frozen=True)
-class RelationResult:
+class RelationResult(NamedTuple):
     v: np.ndarray        # K x r isometry connecting the Gram systems
     v_tilde: np.ndarray  # K x r, full rank, mapping base1 to base2
     residual: float      # max_{m,n} ||(V^dag F'_m Vt - F_m) v_n||

@@ -22,7 +22,7 @@ deficient.  By the kernel dimensions (k, k') of a 2xN state:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class NotInRange(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class ProductVectorHit:
+class ProductVectorHit(NamedTuple):
     alpha: complex            # A-side parameter; inf encoded by at_infinity
     at_infinity: bool
     e: np.ndarray             # normalized C^2
@@ -332,8 +331,7 @@ def determinant_equation_57(rho: DensityMatrix, tol: float = 1e-7) -> list[Produ
     return _search(blocks, tol)
 
 
-@dataclass(frozen=True)
-class SubtractionResult:
+class SubtractionResult(NamedTuple):
     rho_prime: DensityMatrix
     weight: float
     rank_drop: int
@@ -369,8 +367,7 @@ def subtract_product_projector(rho: DensityMatrix, e: np.ndarray, f: np.ndarray,
     return SubtractionResult(rho_prime, weight, int(np.sum(keep)) - int(np.sum(after)))
 
 
-@dataclass(frozen=True)
-class EdgeVerdict:
+class EdgeVerdict(NamedTuple):
     verdict: str  # "edge" | "not_edge" | "unknown"
     witness: ProductVectorHit | None
     hits: tuple

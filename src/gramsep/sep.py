@@ -11,12 +11,12 @@ w_kn of any K-term decomposition onto w_mn.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import densmat, gram
-from .densmat import DensityMatrix, InputError
+from .densmat import DensityMatrix, InputError, ReadOnly
 from .gram import GramSystem
 
 # Diagonals with entries below this (times the largest entry) count as singular.
@@ -39,26 +39,20 @@ class JointDiagonalizationFailed(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SeparableDecomposition:
-    """Product pairs (phi_k, psi_k) with rho = sum_k |phi_k psi_k><phi_k psi_k|."""
+class SeparableDecomposition(ReadOnly):
+    """Product pairs (phi_k, psi_k) with rho = sum_k |phi_k psi_k><phi_k psi_k|;
+    ``phis`` is K x dim_a, ``psis`` K x dim_b."""
 
-    dim_a: int
-    dim_b: int
-    phis: np.ndarray  # K x dim_a
-    psis: np.ndarray  # K x dim_b
-
-    def __post_init__(self):
-        p = np.ascontiguousarray(self.phis, dtype=complex)
-        q = np.ascontiguousarray(self.psis, dtype=complex)
+    def __init__(self, dim_a: int, dim_b: int, phis: np.ndarray, psis: np.ndarray):
+        p = np.ascontiguousarray(phis, dtype=complex)
+        q = np.ascontiguousarray(psis, dtype=complex)
         if p.ndim != 2 or q.ndim != 2 or p.shape[0] != q.shape[0]:
             raise InputError("phis and psis must be K x M and K x N")
-        if p.shape[1] != self.dim_a or q.shape[1] != self.dim_b:
+        if p.shape[1] != dim_a or q.shape[1] != dim_b:
             raise InputError("product vector dimensions do not match (dim_a, dim_b)")
         p.setflags(write=False)
         q.setflags(write=False)
-        object.__setattr__(self, "phis", p)
-        object.__setattr__(self, "psis", q)
+        self.__dict__.update(dim_a=dim_a, dim_b=dim_b, phis=p, psis=q)
 
     @property
     def k(self) -> int:
@@ -76,8 +70,7 @@ class SeparableDecomposition:
         return float(np.abs(self.density() - rho.mat).max())
 
 
-@dataclass(frozen=True)
-class DiagonalGramCertificate:
+class DiagonalGramCertificate(ReadOnly):
     """Separability witness data: diagonals[m] (length K) and frame[n] (length K).
 
     ``basis_a``/``basis_b`` record the local basis the certificate refers to
@@ -85,25 +78,19 @@ class DiagonalGramCertificate:
     that basis.
     """
 
-    dim_a: int
-    dim_b: int
-    diagonals: np.ndarray  # M x K
-    frame: np.ndarray      # N x K
-    basis_a: np.ndarray | None = None
-    basis_b: np.ndarray | None = None
-
-    def __post_init__(self):
-        d = np.ascontiguousarray(self.diagonals, dtype=complex)
-        v = np.ascontiguousarray(self.frame, dtype=complex)
-        if d.shape[0] != self.dim_a or v.shape[0] != self.dim_b or d.shape[1] != v.shape[1]:
+    def __init__(self, dim_a: int, dim_b: int, diagonals: np.ndarray, frame: np.ndarray,
+                 basis_a: np.ndarray | None = None, basis_b: np.ndarray | None = None):
+        d = np.ascontiguousarray(diagonals, dtype=complex)  # M x K
+        v = np.ascontiguousarray(frame, dtype=complex)      # N x K
+        if d.shape[0] != dim_a or v.shape[0] != dim_b or d.shape[1] != v.shape[1]:
             raise InputError("need diagonals M x K and frame N x K")
-        for basis, dim in ((self.basis_a, self.dim_a), (self.basis_b, self.dim_b)):
+        for basis, dim in ((basis_a, dim_a), (basis_b, dim_b)):
             if basis is not None and np.shape(basis) != (dim, dim):
                 raise InputError(f"a local basis must be {dim} x {dim}, got {np.shape(basis)}")
         d.setflags(write=False)
         v.setflags(write=False)
-        object.__setattr__(self, "diagonals", d)
-        object.__setattr__(self, "frame", v)
+        self.__dict__.update(dim_a=dim_a, dim_b=dim_b, diagonals=d, frame=v,
+                             basis_a=basis_a, basis_b=basis_b)
 
     @property
     def k(self) -> int:
@@ -126,8 +113,7 @@ class DiagonalGramCertificate:
         return ua, ub
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     max_deviation: float
     tol: float
 
@@ -215,11 +201,14 @@ def pt_diagonal_conjugate(cert: DiagonalGramCertificate) -> DiagonalGramCertific
 # ---------------------------------------------------------------------------
 # FFCNM: the M(M-1)/2 normal commuting matrices of the matrix-family SNC.
 
-@dataclass(frozen=True)
-class FfcnmFamily:
-    k: int
-    matrices: dict[tuple[int, int], np.ndarray]  # (m, k): maps w_kn -> w_mn, m > k
-    diagnostics: dict = field(default_factory=dict)
+class FfcnmFamily(ReadOnly):
+    """``matrices[(m, k)]`` maps w_kn -> w_mn, m > k; ``diagnostics`` is a new
+    dict per family unless one is given."""
+
+    def __init__(self, k: int, matrices: dict[tuple[int, int], np.ndarray],
+                 diagnostics: dict | None = None):
+        self.__dict__.update(k=k, matrices=matrices,
+                             diagnostics={} if diagnostics is None else diagnostics)
 
     def pairs(self) -> list[tuple[int, int]]:
         return sorted(self.matrices.keys())
@@ -276,8 +265,7 @@ def _worst_commutation(mats: dict) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class FfcnmReport:
+class FfcnmReport(NamedTuple):
     normality: float
     commutation: float
     relation: float
@@ -304,16 +292,33 @@ def verify_ffcnm(fam: FfcnmFamily, g: GramSystem, tol: float = 1e-8) -> FfcnmRep
 # ---------------------------------------------------------------------------
 # Joint diagonalization (one eigendecomposition of a real combination).
 
-# Seed of the fixed real weights of joint_diagonalize's combinations.
+# Seed of the fixed real weights of joint_diagonalize's combinations, and the
+# first 32 standard-normal draws of np.random.default_rng(_COMBINATION_SEED),
+# stored so that no generator is built; they cover families of up to 8 matrices.
 _COMBINATION_SEED = 2007
+_COMBINATION_DRAWS = (
+    0.16146828644157823, 1.2141128747185916, -1.0531145143107492, 0.3389711893536884,
+    0.5397726401756993, -1.001274129624444, 1.1513668703457798, 0.5859030346189535,
+    -0.7813434133821092, -1.0650491605531198, 0.5194551993916214, -0.5230471699087961,
+    -0.6854503717316746, -0.04264770973977508, 1.224412140400381, 0.4982080512937768,
+    0.08993272615416378, -0.16258190669880979, 0.40388475261528073, 0.12731442258172274,
+    1.9445554068359254, -0.5423487757363272, 0.005634324139207112, 1.0935367082396683,
+    -0.29681027206212696, -1.1832467142085514, -0.5559193651136531, 1.208644718149299,
+    1.6594790870544232, 1.251162324270331, 1.1690778471125804, -0.8979986561241893,
+)
 # Residual above which joint_diagonalize tries its second combination.
 _RETRY_ABOVE = 1e-8
 
 
 @functools.lru_cache(maxsize=None)
 def _combination_weights(n_parts: int) -> np.ndarray:
-    """The two real weight vectors joint_diagonalize tries, in order (shared, read-only)."""
-    weights = np.random.default_rng(_COMBINATION_SEED).normal(size=(2, n_parts))
+    """The two real weight vectors joint_diagonalize tries, in order (shared,
+    read-only): default_rng(_COMBINATION_SEED).normal(size=(2, n_parts))."""
+    if 2 * n_parts > len(_COMBINATION_DRAWS):
+        raise InputError(f"joint diagonalization takes at most {len(_COMBINATION_DRAWS) // 4} "
+                         f"matrices ({len(_COMBINATION_DRAWS) // 2} Hermitian parts), "
+                         f"got {n_parts} parts")
+    weights = np.array(_COMBINATION_DRAWS[:2 * n_parts]).reshape(2, n_parts)
     weights.setflags(write=False)
     return weights
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,14 +83,10 @@ def _factor_from_eigh(evals, evecs, rel_tol, scale):
         raise NotPSD(evals[0])
     width = int(np.count_nonzero(evals > rel_tol * max(scale, 1e-300)))  # the top ones
     lam, vecs = evals[::-1][:width], evecs[:, ::-1][:, :width]
-    # gram.phase_fix of every column at once: its largest entry turns real positive;
-    # the phases take numpy's scalar abs and division, as there, so the bits agree
-    pivot = vecs[np.abs(vecs).argmax(axis=0), np.arange(width)]
-    return vecs * np.array([abs(p) / p for p in pivot], dtype=complex) * np.sqrt(lam)
+    return gram.phase_fix_columns(vecs) * np.sqrt(lam)
 
 
-@dataclass(frozen=True)
-class CanonicalForm2xN:
+class CanonicalForm2xN(NamedTuple):
     """Blocks of the transformed state plus the factors of both positivity gaps.
 
     ``lam`` is N x p with lam lam^dag = A - B B^dag; ``lam_tilde`` is
@@ -152,8 +148,7 @@ def canonical_form(rho: DensityMatrix) -> CanonicalForm2xN:
                             ppt, gap_min)
 
 
-@dataclass(frozen=True)
-class ExtensionProblem:
+class ExtensionProblem(NamedTuple):
     """The data of the completion problem: B fixed, Lam fixed up to column
     mixing, Lamt fixed up to row mixing, S free."""
 
@@ -185,8 +180,7 @@ def known_part(cf: CanonicalForm2xN) -> ExtensionProblem:
     return ExtensionProblem(cf.b, cf.lam, cf.lam_tilde)
 
 
-@dataclass(frozen=True)
-class ExtensionSolution:
+class ExtensionSolution(NamedTuple):
     """A candidate completion: the realized blocks, the assembled matrix and
     its normality residual (relative, ||[M, M^dag]||_F / ||M||_F^2)."""
 
@@ -617,11 +611,11 @@ def solve_extension_general(ep: ExtensionProblem, budget: int = 12,
     p, q = ep.p, ep.q
     if q == 0:
         raise InputError("a rank-N problem has no free block; rank_n_test decides it")
-    rng = np.random.default_rng(seed)
     start, blocks, residual, jacobian = _pinned_completion(ep)
     z0 = np.eye(q, p, dtype=complex)
     xs, nfev = _descend(residual, jacobian, start(z0)[None])
     if sep.normality_residual(assemble(ep.b, *blocks(xs[0]))) > _TARGET_GENERAL and budget > 1:
+        rng = np.random.default_rng(seed)
         zs = [z0 + rng.normal(size=(q, p)) + 1j * rng.normal(size=(q, p))
               for _ in range(budget - 1)]
         more = _descend(residual, jacobian, np.stack([start(z) for z in zs]))

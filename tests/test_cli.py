@@ -1,5 +1,6 @@
 """CLI subcommands, report invariants and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -339,6 +340,34 @@ def test_malformed_json_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_undecodable_json_is_an_input_error(tmp_path, capsys):
+    # a byte that is not UTF-8 fails the decoding, not the JSON grammar; both
+    # are the same input error, for a state and for a certificate file
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"m": 2, "n": 2, "data": \xff\xfe}')
+    rho, sd = states.random_separable(2, 2, 3, seed=2)
+    good_state = write_state(tmp_path, "s.json", rho)
+    good_cert = tmp_path / "cert.json"
+    cert = sep.decomposition_to_certificate(sd)
+    good_cert.write_text(json.dumps(sep.certificate_to_json_dict(cert)))
+    for argv in (["analyze", str(bad)], ["gram", str(bad)],
+                 ["ffcnm-verify", str(bad), good_state],
+                 ["ffcnm-verify", str(good_cert), str(bad)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"input error: {bad} is not valid JSON"), argv
+
+
+def test_analyze_digest_is_the_sha256_of_the_analyzed_bytes(tmp_path, capsys):
+    path = write_state(tmp_path, "s.json", states.random_separable(2, 3, 4, seed=1)[0])
+    code, out, _ = run_cli(capsys, "analyze", path)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["verdict"] == "separable_certified"
+    assert rep["input"] == {"path": path,
+                            "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+
+
 def test_invalid_state_exit_code(tmp_path, capsys):
     payload = {"m": 2, "n": 2, "data": densmat.matrix_to_lists(np.eye(4))}
     path = tmp_path / "bad.json"
@@ -450,3 +479,25 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.splitlines() == ["multistart_lm alpha_beta_grid", "[]"]
+
+
+def test_cli_import_and_analysis_leave_records_and_generators_unloaded(tmp_path):
+    # a one-shot call pays numpy's import and the analysis: no module-level
+    # dataclass generation, no OpenSSL until a digest is taken, and no
+    # numpy.random for the fixed combination weights of a certified state
+    path = write_state(tmp_path, "s.json", states.random_separable(2, 3, 4, seed=1)[0])
+    root = Path(__file__).resolve().parents[1]
+    code = "\n".join([
+        "import sys",
+        "import numpy",
+        "watched = [m for m in ('dataclasses', 'hashlib', 'numpy.random') if m not in sys.modules]",
+        "from gramsep import cli",
+        "print(sorted(m for m in watched if m in sys.modules))",
+        f"code = cli.main(['analyze', {path!r}, '-o', {str(tmp_path / 'r.json')!r}])",
+        "print(code, 'numpy.random' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.splitlines() == ["[]", "0 False"]
+    assert json.loads((tmp_path / "r.json").read_text())["verdict"] == "separable_certified"

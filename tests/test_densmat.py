@@ -1,9 +1,11 @@
 """Validation, indexing, partial transposition and rank/PPT tests."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from gramsep import cli, densmat, provec, states
+from gramsep import cli, densmat, gram, provec, sep, states, twoxn
 from gramsep.densmat import (
     InputError, NotHermitian, NotPSD, SizeMismatch, TraceDeviation,
     is_ppt, numeric_rank, partial_transpose, product_index, split_index,
@@ -221,3 +223,71 @@ def test_state_json_rejects_non_square():
     payload = {"m": 2, "n": 2, "data": [[[1.0, 0.0]] * 3] * 4}
     with pytest.raises(InputError):
         densmat.state_from_json_dict(payload)
+
+
+def record_cases():
+    """(record class, required fields in order with sample values, defaults)."""
+    rho = states.werner(0.2)
+    one, eye2 = np.ones((1, 2)), np.eye(2, dtype=complex)
+    g = gram.GramSystem(2, 2, np.eye(4))
+    hit = provec.ProductVectorHit(0.5j, False, np.ones(2), np.ones(2), 0.0, 0.0)
+    return [
+        (densmat.DensityMatrix, dict(dim_a=2, dim_b=2, mat=rho.mat),
+         dict(tol=densmat.DEFAULT_TOL, unnormalized=False)),
+        (densmat.RankReport, dict(rank=1, eigenvalues=np.array([1.0, 0.0]), threshold=1e-9), {}),
+        (gram.GramSystem, dict(dim_a=2, dim_b=2, vectors=np.eye(4, dtype=complex)), {}),
+        (gram.Decomposition, dict(dim_a=2, dim_b=2, terms=np.eye(4, dtype=complex)), {}),
+        (gram.ConnectResult, dict(u=eye2, residual=0.0, unitary_residual=0.0,
+                                  rank_deficient=False), {}),
+        (gram.FactorMapSystem, dict(gram=g, base=np.eye(4, 2), maps=np.zeros((2, 4, 4)),
+                                    residual=0.0), {}),
+        (gram.RelationResult, dict(v=eye2, v_tilde=eye2, residual=0.0), {}),
+        (sep.SeparableDecomposition, dict(dim_a=2, dim_b=2, phis=one + 0j, psis=one + 0j), {}),
+        (sep.DiagonalGramCertificate, dict(dim_a=2, dim_b=2, diagonals=one.T + 0j,
+                                           frame=one.T + 0j), dict(basis_a=None, basis_b=None)),
+        (sep.CertificateReport, dict(max_deviation=0.0, tol=1e-9), {}),
+        (sep.FfcnmFamily, dict(k=2, matrices={(1, 0): eye2}), dict(diagnostics=None)),
+        (sep.FfcnmReport, dict(normality=0.0, commutation=0.0, relation=0.0, tol=1e-8), {}),
+        (twoxn.CanonicalForm2xN, dict(n=2, a=eye2, b=eye2, lam=one.T, lam_tilde=None,
+                                      c_half=eye2, c_inv_half=eye2, ppt=True,
+                                      a_minus_btb_min_eig=0.0), {}),
+        (twoxn.ExtensionProblem, dict(b=eye2, lam=one.T, lam_tilde0=one), {}),
+        (twoxn.ExtensionSolution, dict(matrix=eye2, s_block=eye2, r_block=eye2, t_block=eye2,
+                                       normality_residual=0.0, equation_residual=0.0,
+                                       accepted=True, method="m", mixing={}), {}),
+        (provec.ProductVectorHit, dict(alpha=0.5j, at_infinity=False, e=np.ones(2),
+                                       f=np.ones(2), residual_range=0.0,
+                                       residual_pt_range=0.0), {}),
+        (provec.SubtractionResult, dict(rho_prime=rho, weight=0.5, rank_drop=1), {}),
+        (provec.EdgeVerdict, dict(verdict="not_edge", witness=hit, hits=(hit,)), {}),
+    ]
+
+
+RECORD_CASES = record_cases()
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORD_CASES,
+                         ids=[case[0].__name__ for case in RECORD_CASES])
+def test_records_keep_their_fields_and_stay_read_only(cls, fields, defaults):
+    params = inspect.signature(cls).parameters
+    assert list(params) == list(fields) + list(defaults)
+    assert {name: params[name].default for name in defaults} == defaults
+    for record in (cls(*fields.values()), cls(**fields)):
+        for name, value in {**fields, **defaults}.items():
+            got = getattr(record, name)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(got, value)
+            elif name != "diagnostics":
+                assert got is value or got == value
+            with pytest.raises(AttributeError):
+                setattr(record, name, got)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+
+def test_family_diagnostics_are_a_new_dict_per_family():
+    first, second = sep.FfcnmFamily(1, {}), sep.FfcnmFamily(1, {})
+    assert first.diagnostics == {} and first.diagnostics is not second.diagnostics
+    given = {"normality": 0.0}
+    assert sep.FfcnmFamily(1, {}, given).diagnostics is given
+

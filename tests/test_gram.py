@@ -205,3 +205,31 @@ def test_relate_decompositions_randomized_k6():
     f2 = factor_maps(gram_from_decomposition(dec6, rho))
     rel = relate_decompositions(f1, f2)
     assert rel.residual < 1e-8
+
+
+def looped_spectral_terms(rho):
+    """The terms of spectral_decomposition with one gram.phase_fix per term."""
+    evals, evecs = rho.spectrum
+    keep = densmat.nonzero_eigenvalues(evals) & (evals > 0)
+    lam = evals[keep][::-1]
+    terms = np.array([gram.phase_fix(t) for t in (evecs[:, keep][:, ::-1] * np.sqrt(lam)).T])
+    order = sorted(range(len(lam)),
+                   key=lambda l: (-lam[l],) + tuple(zip(terms[l].real.round(12),
+                                                        terms[l].imag.round(12))))
+    return terms[order]
+
+
+def test_stacked_phase_fix_is_the_per_vector_loop_bitwise():
+    rng = np.random.default_rng(61)
+    tie = np.array([[1.0, -1.0, 0.5, 1j]]).T  # first of equal magnitudes is the pivot
+    cases = [tie] + [(rng.normal(size=(n, w)) + 1j * rng.normal(size=(n, w)))
+                     * rng.uniform(1e-6, 1.0, w) for n, w in [(4, 1), (6, 3), (8, 8), (5, 0)]]
+    for vecs in cases:
+        want = np.array([gram.phase_fix(v) for v in vecs.T]).reshape(vecs.shape[::-1]).T
+        got = gram.phase_fix_columns(vecs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for rho in (states.werner(0.3), states.horodecki97(0.4), states.random_density(2, 3, 4, 5),
+                states.random_separable(2, 4, 1, seed=3)[0]):
+        got = spectral_decomposition(rho).terms
+        want = looped_spectral_terms(rho)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

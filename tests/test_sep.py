@@ -343,6 +343,20 @@ def test_combination_weights_are_shared_and_read_only():
     assert np.array_equal(weights, np.random.default_rng(2007).normal(size=(2, 4)))
     with pytest.raises(ValueError):
         weights[0, 0] = 0.0
+    # the stored draws are the generator's bits for every size they cover
+    for n_parts in range(1, len(sep._COMBINATION_DRAWS) // 2 + 1):
+        want = np.random.default_rng(sep._COMBINATION_SEED).normal(size=(2, n_parts))
+        got = sep._combination_weights(n_parts)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_joint_diagonalize_names_its_family_limit():
+    with pytest.raises(densmat.InputError, match="at most 8 matrices"):
+        sep._combination_weights(17)
+    mats = [np.diag(np.arange(3.0) + j) for j in range(9)]
+    with pytest.raises(densmat.InputError, match="at most 8 matrices"):
+        joint_diagonalize(mats)
+    assert joint_diagonalize(mats[:8])[2] < 1e-12
 
 
 def stacked_parts_diagonalize(mats):
