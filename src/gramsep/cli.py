@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import densmat, gram, provec, sep, states, twoxn
+from . import densmat, gram, sep, twoxn
 from .densmat import DensityMatrix, InputError
 
 
@@ -311,6 +311,7 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_provec(args) -> int:
+    from . import provec  # only this command searches product vectors
     rho = _load_state(args.state, args.tol)
     r, rt = densmat.rank_pattern(rho)
     case = f"({r},{rt})"
@@ -351,6 +352,7 @@ def cmd_ffcnm_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import states  # only this command generates states
     if args.kind == "werner":
         rho = states.werner(args.p)
     elif args.kind == "horodecki":
@@ -466,8 +468,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, sep.JointDiagonalizationFailed, provec.DegenerateSystem,
-            np.linalg.LinAlgError) as exc:
+    except (NumericalFailure, sep.JointDiagonalizationFailed, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

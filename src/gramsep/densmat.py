@@ -114,7 +114,7 @@ class DensityMatrix(ReadOnly):
 
     def __init__(self, dim_a: int, dim_b: int, mat: np.ndarray, tol: float = DEFAULT_TOL,
                  unnormalized: bool = False):
-        m = as_complex_matrix(mat)
+        m = as_complex_matrix(np.array(mat, dtype=complex, order="C"))  # a copy of its own
         m.setflags(write=False)
         self.__dict__.update(dim_a=dim_a, dim_b=dim_b, mat=m, tol=tol, unnormalized=unnormalized)
 
@@ -148,14 +148,14 @@ def validate_density(mat, dim_a: int, dim_b: int, tol: float = DEFAULT_TOL,
     """
     if dim_a < 2 or dim_b < dim_a:
         raise InputError(f"need 2 <= dim_a <= dim_b, got ({dim_a},{dim_b})")
-    m = as_complex_matrix(mat)
+    rho = DensityMatrix(dim_a, dim_b, mat, tol=tol, unnormalized=unnormalized)
+    m = rho.mat
     d = dim_a * dim_b
     if m.shape != (d, d):
         raise SizeMismatch(f"expected {d}x{d}, got {m.shape[0]}x{m.shape[1]}")
     dev = hermitian_deviation(m)
     if dev > tol:
         raise NotHermitian(dev)
-    rho = DensityMatrix(dim_a, dim_b, m, tol=tol, unnormalized=unnormalized)
     evals = rho.spectrum.eigenvalues
     if evals[0] < -tol * max(evals[-1], 1e-300):
         raise NotPSD(evals[0])
@@ -192,7 +192,7 @@ def partial_transpose(rho, subsystem: str = "A", dims=None) -> np.ndarray:
 
 class RankReport(ReadOnly):
     def __init__(self, rank: int, eigenvalues: np.ndarray, threshold: float):
-        ev = np.asarray(eigenvalues, dtype=float)  # descending
+        ev = np.array(eigenvalues, dtype=float)  # descending, a copy of its own
         ev.setflags(write=False)
         self.__dict__.update(rank=rank, eigenvalues=ev, threshold=threshold)
 

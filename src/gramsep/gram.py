@@ -49,7 +49,7 @@ def phase_fix_columns(vecs: np.ndarray) -> np.ndarray:
 
 class GramSystem(ReadOnly):
     def __init__(self, dim_a: int, dim_b: int, vectors: np.ndarray):
-        w = np.ascontiguousarray(vectors, dtype=complex)  # K x MN, column m*N+n holds w_mn
+        w = np.array(vectors, dtype=complex, order="C")  # K x MN, column m*N+n holds w_mn
         if w.ndim != 2 or w.shape[1] != dim_a * dim_b:
             raise InputError(f"Gram vectors must be K x {dim_a * dim_b}")
         w.setflags(write=False)
@@ -74,7 +74,7 @@ class Decomposition(ReadOnly):
     """Rank-one decomposition rho = sum_k |Phi_k><Phi_k|; rows of ``terms`` are the Phi_k."""
 
     def __init__(self, dim_a: int, dim_b: int, terms: np.ndarray):
-        t = np.ascontiguousarray(terms, dtype=complex)  # K x (dim_a*dim_b)
+        t = np.array(terms, dtype=complex, order="C")  # K x (dim_a*dim_b)
         if t.ndim != 2 or t.shape[1] != dim_a * dim_b:
             raise InputError(f"decomposition terms must be K x {dim_a * dim_b}")
         t.setflags(write=False)

@@ -13,10 +13,10 @@ deficient.  By the kernel dimensions (k, k') of a 2xN state:
   k^2 + k'^2, whose roots seed a Newton polish; the enumeration is complete
   for every k', and more than k^2 + k'^2 validated hits raise
   DegenerateSystem.
-* k = N - 1 < k + k': the same enumeration on the square subsystem of the
-  k rows and one fixed real combination of the k' rows, whose determinant
-  vanishes at every hit of the full stack (a second combination joins the
-  polish); validation against the full stack keeps the hits, at most 2k.
+* k = N - 1 < k + k': two fixed real combinations of the k' rows each make
+  a determinant with the k rows; the roots of a 2k-size pencil of the pair
+  (the enumeration above where it is degenerate) seed the polish, and
+  validation against the full stack keeps the hits, at most 2k.
 """
 
 from __future__ import annotations
@@ -154,9 +154,9 @@ def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductV
     Dispatch on the kernel dimensions (k, k'): k + k' < N is a continuum
     (reported via DegenerateSystem).  k + k' = N is a single determinant
     condition, enumerated through a resultant.  In the overdetermined case
-    k = N - 1 the same enumeration runs on the k state-kernel rows plus a
-    fixed real combination of the k' PT rows, and validation against all
-    k + k' rows keeps the hits.
+    k = N - 1 a pencil of size 2k, built from two fixed real combinations of
+    the k' PT rows, seeds the search, and validation against all k + k' rows
+    keeps the hits.
     """
     if rho.dim_a != 2:
         raise InputError(f"product-vector search needs dim_a = 2, got {rho.dim_a}")
@@ -164,19 +164,28 @@ def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductV
 
 
 _PT_ROW_WEIGHTS_SEED = 1997
+# default_rng(_PT_ROW_WEIGHTS_SEED).normal(size=16): k' <= 8 needs no numpy.random
+_PT_ROW_DRAWS = (0.7868741785626053, -0.16100651348286793, -0.08270091370151621,
+                 0.3966891798444247, 1.4076388459410376, 0.7459415724415613,
+                 -0.38901419888360933, 0.9909583923891848, -0.6385157712293822,
+                 0.24731609069584887, -1.4072450344825962, 1.5671319254037148,
+                 2.723115255867018, 0.4532270711272075, -0.17841737777409952,
+                 1.5704173879559262)
 
 
 @functools.lru_cache(maxsize=None)
 def _pt_row_weights(kp: int) -> np.ndarray:
     """The two fixed real weight rows (2 x 1 x k'), each folding the PT rows into one."""
-    w = np.random.default_rng(_PT_ROW_WEIGHTS_SEED).normal(size=(2, 1, kp))
+    draws = (_PT_ROW_DRAWS[:2 * kp] if 2 * kp <= len(_PT_ROW_DRAWS)
+             else np.random.default_rng(_PT_ROW_WEIGHTS_SEED).normal(size=2 * kp))
+    w = np.array(draws).reshape(2, 1, kp)
     w.setflags(write=False)
     return w
 
 
 def _search(blocks, tol):
-    """Candidates for the kernel dimensions of ``blocks``, validated, deduped
-    and held to the degree bound of their case."""
+    """Candidates for the kernel dimensions of ``blocks`` (a resultant, or for
+    k = N - 1 a 2k-size pencil), validated, deduped and held to their degree bound."""
     psi0, psi1, phi0, phi1 = blocks
     (k, n), kp = psi0.shape, phi0.shape[0]
 
@@ -187,11 +196,7 @@ def _search(blocks, tol):
     if k + kp == n:
         candidates = _det_case_candidates(blocks, k, kp)
     elif k == n - 1:
-        # a real combination of PT rows is itself a row of ker rho^{T_A}, so
-        # the square system it completes is singular at every hit of the full
-        # stack; two fixed combinations give two such systems
-        w = _pt_row_weights(kp)
-        candidates = _det_case_candidates((psi0, psi1, w @ phi0, w @ phi1), k, 1)
+        candidates = _pencil_case_candidates(blocks, k)
     else:
         raise UnsupportedRankPattern(
             f"kernel dims ({k},{kp}) on 2x{n} are outside the implemented cases")
@@ -225,21 +230,17 @@ def _det_case_candidates(blocks, k, kp):
     da^2 + dz^2 (ten for the (5,7) pattern).  Its roots are the eigenvalues
     of the companion pencil of S(alpha), which stay accurate where the roots
     of R's coefficients do not (clustered roots, roots far outside the unit
-    circle).  They seed a real 2x2 Newton polish on D(alpha, conj alpha), run
-    on all of them at once, and the polished roots where |D| is small are
-    returned.  The seeds contain every isolated self-consistent root, for
-    every k', so the enumeration is complete; the alpha = infinity chart is
-    added as one more candidate.  R vanishing identically (tested on its
-    interpolant at da^2 + dz^2 + 1 roots of unity) means D and E share a
-    factor: the self-consistent roots form a curve (DegenerateSystem).
+    circle).  They seed the polish of _polished_roots, and the polished roots
+    where |D| is small are returned.  The seeds contain every isolated
+    self-consistent root, for every k', so the enumeration is complete; the
+    alpha = infinity chart is added as one more candidate.  R vanishing
+    identically (tested on its interpolant at da^2 + dz^2 + 1 roots of unity)
+    means D and E share a factor: the self-consistent roots form a curve
+    (DegenerateSystem).
 
     The PT rows of ``blocks`` may carry a leading axis of alternatives
-    (c x k' x N), each completing a square system whose determinant vanishes
-    at every hit.  The first is enumerated; the polish is then Gauss-Newton
-    on all of them, and |D| must be small for every one: where one
-    determinant has a nearly singular Jacobian at a hit (a near-double root
-    of its resultant), Newton on it alone leaves that hit inexact (residuals
-    of 1e-10 to 1e-7 seen, against a validation tol of 1e-8).
+    (c x k' x N), each completing a determinant that vanishes at every hit:
+    the resultant is of the first, and every one is polished.
     """
     coeffs = _det_bipoly(*blocks, k, kp).reshape(-1, k + 1, kp + 1)
     scale = np.abs(coeffs).max(axis=(1, 2))
@@ -265,11 +266,40 @@ def _det_case_candidates(blocks, k, kp):
         raise DegenerateSystem(
             "the resultant of the determinant and its conjugate vanishes "
             "identically: the self-consistent roots form a curve", continuum=True)
+    return _polished_roots(coeffs, scale, _pencil_eigenvalues(sylvester, [da] * da + [dz] * dz),
+                           k + kp)
 
+
+def _pencil_case_candidates(blocks, k):
+    """k = N - 1 < k + k'.  A real combination c of the PT rows is a row of
+    ker rho^{T_A}, so D_c(alpha, z) = A_c(alpha) + z B_c(alpha), the determinant
+    it completes, vanishes at every hit with z = conj(alpha).  For two of them
+    (1, conj alpha) is a null vector of S(alpha) = [[A_1, B_1], [A_2, B_2]]:
+    the eigenvalues of the pencil of S, of size 2k, contain every hit.  Where
+    det S vanishes identically (at 2k + 1 roots of unity, relative to the
+    scales of the D_c), _det_case_candidates enumerates the first instead."""
+    w = _pt_row_weights(blocks[2].shape[0])
+    folded = blocks[:2] + (w @ blocks[2], w @ blocks[3])
+    pencil = _det_bipoly(*folded, k, 1).transpose(1, 0, 2)  # S(alpha) = sum alpha^i pencil[i]
+    scale = np.abs(pencil).max(axis=(0, 2))
+    xs = np.exp(2j * np.pi * np.arange(2 * k + 1) / (2 * k + 1))
+    det_s = np.linalg.det(np.tensordot(xs[:, None] ** np.arange(k + 1), pencil, 1))
+    if np.abs(det_s).max() <= 1e-9 * scale[0] * scale[1]:
+        return _det_case_candidates(folded, k, 1)
+    da = np.nonzero((np.abs(pencil) > 1e-12 * scale[:, None]).any(axis=(1, 2)))[0].max()
+    seeds = _pencil_eigenvalues(pencil[:da + 1], [da, da]) if da else np.zeros(0, complex)
+    return _polished_roots(pencil[:da + 1].transpose(1, 0, 2), scale, seeds, k + 1)
+
+
+def _polished_roots(coeffs, scale, al, degree):
+    """Candidates (alpha, at_infinity): the seeds ``al`` polished by Gauss-Newton
+    on every D_c(alpha, conj alpha) = sum coeffs[c, i, j] alpha^i conj(alpha)^j
+    at once and kept where every |D_c| is small (on one D_c alone, a nearly
+    singular Jacobian left hits at 1e-10 to 1e-7), and alpha = infinity."""
     # every D, dD/dalpha and dD/dz, divided by the scale of its D, as
     # coefficients of the monomials alpha^i z^j
-    ia, iz = np.arange(da + 1), np.arange(dz + 1)
-    tensor = np.zeros((len(coeffs), 3, da + 1, dz + 1), dtype=complex)
+    ia, iz = np.arange(coeffs.shape[1]), np.arange(coeffs.shape[2])
+    tensor = np.zeros((len(coeffs), 3) + coeffs.shape[1:], dtype=complex)
     tensor[:, 0] = coeffs
     tensor[:, 1, :-1] = coeffs[:, 1:] * ia[1:, None]
     tensor[:, 2, :, :-1] = coeffs[:, :, 1:] * iz[1:]
@@ -284,7 +314,6 @@ def _det_case_candidates(blocks, k, kp):
     # complex form.  For one condition it is the real 2x2 Newton, with
     # P^2 - |Q|^2 = (|dD/dalpha|^2 - |dD/dz|^2)^2.  A seed stops when its step
     # is negligible or a step fails to halve |F|; past that it only wanders.
-    al = _pencil_eigenvalues(sylvester, [da] * da + [dz] * dz)
     live = np.arange(al.size)
     last = np.full(al.size, np.inf)
     with np.errstate(all="ignore"):
@@ -304,7 +333,7 @@ def _det_case_candidates(blocks, k, kp):
             moving = np.abs(det) >= 1e-300
             al[live] = a = np.where(moving, al[live] + step, al[live])
             live = live[moving & (np.abs(step) >= 1e-13 * np.maximum(1.0, np.abs(a)))]
-        grow = np.maximum(1.0, np.abs(al)) ** (k + kp + 2)
+        grow = np.maximum(1.0, np.abs(al)) ** (degree + 2)
         small = np.abs(terms(al)[:, 0]) <= 1e-9 * np.maximum(1 / scale[:, None], grow)
         roots = al[small.all(0)]
     return [(a, False) for a in roots] + [(0j, True)]
@@ -377,9 +406,9 @@ def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
     """Edge iff no product vector sits in the range with its conjugate partner
     in the PT range.  Only meaningful for PPT states.
 
-    find_product_vectors enumerates every isolated hit through one resultant
-    enumeration, in the determinant case k + k' = N (for every k') and in the
-    case k = N - 1 < k + k', so there 'edge' and 'not_edge' are exact.  A
+    find_product_vectors enumerates every isolated hit in the determinant
+    case k + k' = N (for every k') and in the case k = N - 1 < k + k', so
+    there 'edge' and 'not_edge' are exact.  A
     continuum of hits is 'not_edge' once one witness is found (any f when
     there are no kernel constraints at all), else 'unknown'; other kernel
     dimensions are 'unknown'."""

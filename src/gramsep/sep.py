@@ -44,8 +44,8 @@ class SeparableDecomposition(ReadOnly):
     ``phis`` is K x dim_a, ``psis`` K x dim_b."""
 
     def __init__(self, dim_a: int, dim_b: int, phis: np.ndarray, psis: np.ndarray):
-        p = np.ascontiguousarray(phis, dtype=complex)
-        q = np.ascontiguousarray(psis, dtype=complex)
+        p = np.array(phis, dtype=complex, order="C")  # copies of its own
+        q = np.array(psis, dtype=complex, order="C")
         if p.ndim != 2 or q.ndim != 2 or p.shape[0] != q.shape[0]:
             raise InputError("phis and psis must be K x M and K x N")
         if p.shape[1] != dim_a or q.shape[1] != dim_b:
@@ -80,8 +80,8 @@ class DiagonalGramCertificate(ReadOnly):
 
     def __init__(self, dim_a: int, dim_b: int, diagonals: np.ndarray, frame: np.ndarray,
                  basis_a: np.ndarray | None = None, basis_b: np.ndarray | None = None):
-        d = np.ascontiguousarray(diagonals, dtype=complex)  # M x K
-        v = np.ascontiguousarray(frame, dtype=complex)      # N x K
+        d = np.array(diagonals, dtype=complex, order="C")  # M x K, copies of its own
+        v = np.array(frame, dtype=complex, order="C")      # N x K
         if d.shape[0] != dim_a or v.shape[0] != dim_b or d.shape[1] != v.shape[1]:
             raise InputError("need diagonals M x K and frame N x K")
         for basis, dim in ((basis_a, dim_a), (basis_b, dim_b)):

@@ -483,21 +483,28 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 def test_cli_import_and_analysis_leave_records_and_generators_unloaded(tmp_path):
     # a one-shot call pays numpy's import and the analysis: no module-level
-    # dataclass generation, no OpenSSL until a digest is taken, and no
-    # numpy.random for the fixed combination weights of a certified state
+    # dataclass generation, no OpenSSL until a digest is taken, no numpy.random
+    # for the fixed combination weights of a certified state or the fixed PT
+    # row weights of a product-vector search, and neither the product-vector
+    # search nor the generators unless the command uses them
     path = write_state(tmp_path, "s.json", states.random_separable(2, 3, 4, seed=1)[0])
+    edge = write_state(tmp_path, "h.json", states.horodecki97(0.3))
     root = Path(__file__).resolve().parents[1]
     code = "\n".join([
         "import sys",
         "import numpy",
-        "watched = [m for m in ('dataclasses', 'hashlib', 'numpy.random') if m not in sys.modules]",
+        "watched = [m for m in ('dataclasses', 'hashlib', 'numpy.random', 'gramsep.provec',",
+        "                       'gramsep.states') if m not in sys.modules]",
         "from gramsep import cli",
         "print(sorted(m for m in watched if m in sys.modules))",
         f"code = cli.main(['analyze', {path!r}, '-o', {str(tmp_path / 'r.json')!r}])",
+        "print(code, sorted(m for m in watched if m in sys.modules))",
+        f"code = cli.main(['provec', {edge!r}, '-o', {str(tmp_path / 'p.json')!r}])",
         "print(code, 'numpy.random' in sys.modules)",
     ])
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.splitlines() == ["[]", "0 False"]
+    assert out.stdout.splitlines() == ["[]", "0 ['hashlib']", "0 False"]
     assert json.loads((tmp_path / "r.json").read_text())["verdict"] == "separable_certified"
+    assert json.loads((tmp_path / "p.json").read_text())["hits"] == []

@@ -285,6 +285,33 @@ def test_records_keep_their_fields_and_stay_read_only(cls, fields, defaults):
                 delattr(record, name)
 
 
+ARRAY_RECORDS = [case for case in RECORD_CASES if issubclass(case[0], densmat.ReadOnly)
+                 and any(isinstance(value, np.ndarray) for value in case[1].values())]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", ARRAY_RECORDS,
+                         ids=[case[0].__name__ for case in ARRAY_RECORDS])
+def test_records_leave_the_callers_arrays_writable(cls, fields, defaults):
+    """A record stores read-only arrays of its own: an array that needs no
+    conversion is copied, not frozen in the caller's hands."""
+    given = {name: value.copy() if isinstance(value, np.ndarray) else value
+             for name, value in fields.items()}
+    record = cls(**given)
+    for name, value in given.items():
+        if isinstance(value, np.ndarray):
+            assert value.flags.writeable and not getattr(record, name).flags.writeable
+            value[...] = 0
+            assert np.array_equal(getattr(record, name), fields[name])
+
+
+def test_validate_density_leaves_the_callers_array_writable():
+    mat = np.eye(4, dtype=complex) / 4
+    rho = validate_density(mat, 2, 2)
+    assert mat.flags.writeable and not rho.mat.flags.writeable
+    mat[0, 0] = 1.0
+    assert rho.mat[0, 0] == 0.25
+
+
 def test_family_diagnostics_are_a_new_dict_per_family():
     first, second = sep.FfcnmFamily(1, {}), sep.FfcnmFamily(1, {})
     assert first.diagnostics == {} and first.diagnostics is not second.diagnostics

@@ -427,13 +427,88 @@ def test_elimination_case_raises_above_bound(monkeypatch):
     monkeypatch.setattr(provec, "_validate_candidates", accept_finite)
     for count, raises in ((6, False), (7, True)):
         roots = [complex(0.1 * j, 0.05) for j in range(count)]
-        monkeypatch.setattr(provec, "_det_case_candidates",
-                            lambda blocks, k, kp: [(a, False) for a in roots] + [(0j, True)])
+        monkeypatch.setattr(provec, "_pencil_case_candidates",
+                            lambda blocks, k: [(a, False) for a in roots] + [(0j, True)])
         if raises:
             with pytest.raises(DegenerateSystem):
                 find_product_vectors(rho)
         else:
             assert len(find_product_vectors(rho)) == count
+
+
+def spy(monkeypatch, name):
+    """Record the arguments of every call to provec.<name>, which still runs."""
+    calls = []
+    real = getattr(provec, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(provec, name, recorded)
+    return calls
+
+
+def test_pencil_case_seeds_from_a_2k_pencil_and_finds_every_planted_vector(monkeypatch):
+    """(N+1)-term mixtures on 2xN, kernel dims (N-1, N-1): the seeds are the
+    eigenvalues of one pencil of size 2k = 2N - 2, the resultant enumeration
+    never runs, and every planted product vector is a hit."""
+    pencils = spy(monkeypatch, "_pencil_eigenvalues")
+    resultants = spy(monkeypatch, "_det_case_candidates")
+    for n in (3, 4, 5, 6):
+        for seed in range(10000, 10100):
+            rho, sd = states.random_separable(2, n, n + 1, seed=seed)
+            pencils.clear()
+            hits = find_product_vectors(rho)
+            assert [sum(degrees) for _, degrees in pencils] == [2 * (n - 1)], (n, seed)
+            for phi, psi in zip(sd.phis, sd.psis):
+                gen = np.kron(phi, psi)
+                assert max(overlap(h.product_vector(), gen) for h in hits) > 1 - 1e-6, (n, seed)
+    assert resultants == []
+
+
+def test_pencil_case_falls_back_to_the_resultant_only_where_det_s_vanishes(monkeypatch):
+    """On the Horodecki family (kernel dims (3, 3) on 2x4) det S vanishes
+    identically only at the separable point b = 1, whose continuum the
+    resultant enumeration on the first combination reports."""
+    resultants = spy(monkeypatch, "_det_case_candidates")
+    bs = np.linspace(0.05, 1.0, 20)
+    assert bs[-1] == 1.0
+    for b in bs:
+        resultants.clear()
+        rho = states.horodecki97(b)
+        if b < 1.0:
+            assert find_product_vectors(rho) == []
+            assert resultants == []
+        else:
+            with pytest.raises(DegenerateSystem) as err:
+                find_product_vectors(rho)
+            assert err.value.continuum
+            assert [args[1:] for args in resultants] == [(3, 1)]
+
+
+def test_pencil_case_with_determinants_constant_in_alpha():
+    """Kernel rows free of alpha (psi1 = 0) make both determinants constant
+    in alpha, det S a nonzero constant and the pencil empty: no finite seed.
+    The alpha = infinity chart, where the one PT row left, e_0, admits
+    f = e_1, is the one hit."""
+    eye = np.eye(4, dtype=complex)
+    zero = np.zeros(4)
+    blocks = (eye[1:], np.zeros((3, 4), dtype=complex), np.array([eye[0], zero]),
+              np.array([zero, eye[0]]))
+    hits = provec._search(blocks, 1e-8)
+    assert [h.at_infinity for h in hits] == [True]
+
+
+def test_pt_row_weights_are_the_generators_draws():
+    """The stored draws are default_rng(1997)'s bits for every k' they cover;
+    beyond them the generator itself gives the weights, not an error."""
+    cover = len(provec._PT_ROW_DRAWS) // 2
+    for kp in range(1, cover + 2):
+        want = np.random.default_rng(provec._PT_ROW_WEIGHTS_SEED).normal(size=(2, 1, kp))
+        got = provec._pt_row_weights(kp)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), kp
+        assert provec._pt_row_weights(kp) is got and not got.flags.writeable
 
 
 def test_determinant_equation_57_pattern_guard():
