@@ -12,10 +12,10 @@ multi-start descent in general.
 Modules
 -------
 densmat   validation, product indexing, partial transposition, PPT/rank tests
-gram      Gram systems, isometric embeddings, connections, factor maps
+gram      Gram systems, decompositions, isometric embeddings
 sep       diagonal-Gram certificates and commuting normal matrix families
 twoxn     canonical 2xN forms and the normal-extension solvers
-provec    product vectors in ranges, projector subtraction, edge detection
+provec    product vectors in ranges, edge detection
 states    named and random generators with known ground truth
 cli       command-line frontend (`gramsep analyze`, `gramsep gen`, ...)
 """

@@ -48,13 +48,6 @@ def product_index(i: int, j: int, dim_b: int) -> int:
     return i * dim_b + j
 
 
-def split_index(idx: int, dim_b: int) -> tuple[int, int]:
-    """Inverse of product_index."""
-    if idx < 0:
-        raise InputError(f"negative flat index {idx}")
-    return divmod(idx, dim_b)
-
-
 def as_complex_matrix(mat) -> np.ndarray:
     """Coerce to a C-contiguous complex128 2-D array."""
     m = np.ascontiguousarray(mat, dtype=complex)

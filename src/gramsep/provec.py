@@ -42,10 +42,6 @@ class UnsupportedRankPattern(InputError):
     pass
 
 
-class NotInRange(InputError):
-    pass
-
-
 class ProductVectorHit(NamedTuple):
     alpha: complex            # A-side parameter; inf encoded by at_infinity
     at_infinity: bool
@@ -141,6 +137,16 @@ def _det_bipoly(rows_a0, rows_a1, rows_b0, rows_b1, deg_a, deg_b):
     return np.fft.fft2(vals) / (na * nb)
 
 
+def _coefficient_bounds(rows_a0, rows_a1, rows_b0, rows_b1):
+    """Per alternative of the B rows, a bound on every coefficient of
+    _det_bipoly's determinant: on |x| = |y| = 1 each row has norm at most
+    |r0| + |r1|, so |det| is at most their product (Hadamard), and every
+    coefficient is a mean of the determinant's values there."""
+    a0, a1, b0, b1 = ((np.abs(r) ** 2).sum(-1) ** 0.5
+                      for r in (rows_a0, rows_a1, rows_b0, rows_b1))
+    return ((a0 + a1).prod() * (b0 + b1).prod(-1)).reshape(-1)
+
+
 def _sorted_hits(hits):
     finite = sorted((h for h in hits if not h.at_infinity),
                     key=lambda h: (abs(h.alpha), np.angle(h.alpha)))
@@ -233,10 +239,12 @@ def _det_case_candidates(blocks, k, kp):
     circle).  They seed the polish of _polished_roots, and the polished roots
     where |D| is small are returned.  The seeds contain every isolated
     self-consistent root, for every k', so the enumeration is complete; the
-    alpha = infinity chart is added as one more candidate.  R vanishing
+    alpha = infinity chart is added as one more candidate.  D vanishing
+    identically (every coefficient below 1e-12 of the Hadamard bound of its
+    rows, so zero up to rounding) means every alpha is a root, and R vanishing
     identically (tested on its interpolant at da^2 + dz^2 + 1 roots of unity)
-    means D and E share a factor: the self-consistent roots form a curve
-    (DegenerateSystem).
+    means D and E share a factor: either way the self-consistent roots form a
+    curve (DegenerateSystem).
 
     The PT rows of ``blocks`` may carry a leading axis of alternatives
     (c x k' x N), each completing a determinant that vanishes at every hit:
@@ -244,7 +252,7 @@ def _det_case_candidates(blocks, k, kp):
     """
     coeffs = _det_bipoly(*blocks, k, kp).reshape(-1, k + 1, kp + 1)
     scale = np.abs(coeffs).max(axis=(1, 2))
-    if scale[0] < 1e-300:
+    if scale[0] <= 1e-12 * _coefficient_bounds(*blocks)[0]:
         raise DegenerateSystem("determinant vanishes identically", continuum=True)
     keep = np.abs(coeffs[0]) > 1e-12 * scale[0]
     coeffs = coeffs[:, :np.nonzero(keep.any(axis=1))[0].max() + 1,
@@ -276,15 +284,17 @@ def _pencil_case_candidates(blocks, k):
     it completes, vanishes at every hit with z = conj(alpha).  For two of them
     (1, conj alpha) is a null vector of S(alpha) = [[A_1, B_1], [A_2, B_2]]:
     the eigenvalues of the pencil of S, of size 2k, contain every hit.  Where
-    det S vanishes identically (at 2k + 1 roots of unity, relative to the
-    scales of the D_c), _det_case_candidates enumerates the first instead."""
+    a D_c vanishes identically (relative to the Hadamard bound of its rows) or
+    det S does (at 2k + 1 roots of unity, relative to the scales of the D_c),
+    _det_case_candidates enumerates the first instead."""
     w = _pt_row_weights(blocks[2].shape[0])
     folded = blocks[:2] + (w @ blocks[2], w @ blocks[3])
     pencil = _det_bipoly(*folded, k, 1).transpose(1, 0, 2)  # S(alpha) = sum alpha^i pencil[i]
     scale = np.abs(pencil).max(axis=(0, 2))
     xs = np.exp(2j * np.pi * np.arange(2 * k + 1) / (2 * k + 1))
     det_s = np.linalg.det(np.tensordot(xs[:, None] ** np.arange(k + 1), pencil, 1))
-    if np.abs(det_s).max() <= 1e-9 * scale[0] * scale[1]:
+    if ((scale <= 1e-12 * _coefficient_bounds(*folded)).any()
+            or np.abs(det_s).max() <= 1e-9 * scale[0] * scale[1]):
         return _det_case_candidates(folded, k, 1)
     da = np.nonzero((np.abs(pencil) > 1e-12 * scale[:, None]).any(axis=(1, 2)))[0].max()
     seeds = _pencil_eigenvalues(pencil[:da + 1], [da, da]) if da else np.zeros(0, complex)
@@ -358,42 +368,6 @@ def determinant_equation_57(rho: DensityMatrix, tol: float = 1e-7) -> list[Produ
     if (k, kp) != (3, 1):
         raise UnsupportedRankPattern(f"need kernel dims (3, 1), got ({k}, {kp})")
     return _search(blocks, tol)
-
-
-class SubtractionResult(NamedTuple):
-    rho_prime: DensityMatrix
-    weight: float
-    rank_drop: int
-
-
-def subtract_product_projector(rho: DensityMatrix, e: np.ndarray, f: np.ndarray,
-                               range_tol: float = 1e-8) -> SubtractionResult:
-    """Remove lambda |e,f><e,f| at the critical weight 1/<e,f|rho^+|e,f>.
-
-    The vector must lie in the range of rho; at the critical weight the
-    remainder stays PSD and its rank drops by exactly one.
-    """
-    v = np.kron(np.asarray(e, dtype=complex), np.asarray(f, dtype=complex))
-    v = v / np.linalg.norm(v)
-    evals, evecs = rho.spectrum
-    keep = densmat.nonzero_eigenvalues(evals) & (evals > 0)
-    out_of_range = np.linalg.norm(v - evecs[:, keep] @ (evecs[:, keep].conj().T @ v))
-    if out_of_range > range_tol:
-        raise NotInRange(f"|e,f> has component {out_of_range:.3e} outside range(rho)")
-    pinv_diag = np.zeros_like(evals)
-    pinv_diag[keep] = 1.0 / evals[keep]
-    quad = float(np.real(v.conj() @ (evecs * pinv_diag) @ (evecs.conj().T @ v)))
-    weight = 1.0 / quad
-    residue = rho.mat - weight * np.outer(v, v.conj())
-    if np.abs(residue).max() < 1e-13 * max(np.abs(rho.mat).max(), 1e-300):
-        # a pure state minus itself: zero, which validate_density rejects as a state
-        rho_prime = densmat.DensityMatrix(rho.dim_a, rho.dim_b, np.zeros_like(residue),
-                                          tol=rho.tol, unnormalized=True)
-    else:
-        rho_prime = densmat.validate_density(residue, rho.dim_a, rho.dim_b,
-                                             tol=rho.tol, unnormalized=True)
-    after = densmat.nonzero_eigenvalues(rho_prime.spectrum.eigenvalues)
-    return SubtractionResult(rho_prime, weight, int(np.sum(keep)) - int(np.sum(after)))
 
 
 class EdgeVerdict(NamedTuple):
@@ -472,104 +446,6 @@ def _find_any_hit(rho: DensityMatrix, tol: float) -> ProductVectorHit | None:
         if hits:
             return hits[0]
     return None
-
-
-def _slerp(u, v, t):
-    overlap = np.vdot(u, v)
-    if abs(overlap) > 0:
-        v = v * (np.conj(overlap) / abs(overlap))
-    ang = np.arccos(np.clip(abs(overlap), -1.0, 1.0))
-    if ang < 1e-12:
-        return u
-    return (np.sin((1 - t) * ang) * u + np.sin(t * ang) * v) / np.sin(ang)
-
-
-def balanced_subtraction_vector(rho: DensityMatrix, seed: int = 0,
-                                samples: int = 256, tol: float = 1e-10):
-    """Product vector whose critical subtraction weights for rho and rho^{T_A}
-    coincide, located by bisection between two opposite-sign witnesses.
-
-    This is the constructive stand-in for the continuity argument behind the
-    rank-reduction chains.  On full-rank states the witnesses interpolate
-    both local factors along great circles; on rank-deficient states (where
-    random product pairs are never in range) the walk stays on the
-    alpha-parametrized family cut out by the kernel constraints, moving along
-    a straight path in alpha.
-    """
-    rng = np.random.default_rng(seed)
-    n = rho.dim_b
-    pt = densmat.partial_transpose(rho, "A")
-    pt_state = densmat.validate_density(pt, rho.dim_a, rho.dim_b, tol=rho.tol,
-                                        unnormalized=True)
-    blocks = _row_blocks(rho)
-    n_rows = blocks[0].shape[0] + blocks[2].shape[0]
-    if n_rows >= n:
-        raise UnsupportedRankPattern(
-            "no continuous family of in-range product vectors to walk")
-
-    def gap(e, f):
-        a = subtract_product_projector(rho, e, f).weight
-        b = subtract_product_projector(pt_state, e.conj(), f).weight
-        return a - b
-
-    # Each branch draws a witness w, maps it to its product pair at(w), and
-    # joins two witnesses by path(pos, neg, t) for the bisection.
-    if n_rows > 0:
-        def draw():
-            return complex(*rng.normal(size=2))
-
-        def at(alpha):
-            rows = _stack_rows(blocks, alpha)
-            f = np.linalg.svd(rows)[2][-1].conj()
-            e = np.array([1.0, alpha], dtype=complex)
-            return e / np.linalg.norm(e), f / np.linalg.norm(f)
-
-        def path(pos, neg, t):
-            return (1 - t) * pos + t * neg
-    else:
-        def draw():
-            e = rng.normal(size=2) + 1j * rng.normal(size=2)
-            f = rng.normal(size=n) + 1j * rng.normal(size=n)
-            return e / np.linalg.norm(e), f / np.linalg.norm(f)
-
-        def at(pair):
-            return pair
-
-        def path(pos, neg, t):
-            e = _slerp(pos[0], neg[0], t)
-            f = _slerp(pos[1], neg[1], t)
-            return e / np.linalg.norm(e), f / np.linalg.norm(f)
-
-    pos = neg = None
-    for _ in range(samples):
-        w = draw()
-        try:
-            g = gap(*at(w))
-        except NotInRange:
-            continue
-        if abs(g) <= tol:
-            return at(w)
-        if g > 0 and pos is None:
-            pos = w
-        if g < 0 and neg is None:
-            neg = w
-        if pos is not None and neg is not None:
-            break
-    if pos is None or neg is None:
-        raise RuntimeError("could not find opposite-sign witnesses")
-    glo = gap(*at(pos))
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        e, f = at(path(pos, neg, mid))
-        g = gap(e, f)
-        if abs(g) <= tol:
-            return e, f
-        if (g > 0) == (glo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return e, f
 
 
 def hits_to_json_dict(hits, case: str) -> dict:

@@ -184,20 +184,6 @@ def certificate_to_decomposition(cert: DiagonalGramCertificate,
     return sd
 
 
-def pt_frame_conjugate(cert: DiagonalGramCertificate) -> DiagonalGramCertificate:
-    """Certificate of rho^{T_B}: conjugate the frame (and its basis)."""
-    bb = None if cert.basis_b is None else cert.basis_b.conj()
-    return DiagonalGramCertificate(cert.dim_a, cert.dim_b, cert.diagonals,
-                                   cert.frame.conj(), basis_a=cert.basis_a, basis_b=bb)
-
-
-def pt_diagonal_conjugate(cert: DiagonalGramCertificate) -> DiagonalGramCertificate:
-    """Certificate of rho^{T_A}: conjugate the diagonals (and their basis)."""
-    ba = None if cert.basis_a is None else cert.basis_a.conj()
-    return DiagonalGramCertificate(cert.dim_a, cert.dim_b, cert.diagonals.conj(),
-                                   cert.frame, basis_a=ba, basis_b=cert.basis_b)
-
-
 # ---------------------------------------------------------------------------
 # FFCNM: the M(M-1)/2 normal commuting matrices of the matrix-family SNC.
 

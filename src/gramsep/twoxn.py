@@ -643,11 +643,6 @@ def companion_gram(cf: CanonicalForm2xN, r_block: np.ndarray) -> gram.GramSystem
     return gram.GramSystem(2, n, terms.conj())
 
 
-def swapped_canonical_matrix(cf: CanonicalForm2xN) -> np.ndarray:
-    """[[I, B^dag], [B, A]]: the canonical state with the A-side basis swapped."""
-    return np.block([[np.eye(cf.n), cf.b.conj().T], [cf.b, cf.a]])
-
-
 def extension_to_decomposition(cf: CanonicalForm2xN, sol: ExtensionSolution,
                                rho: DensityMatrix, tol: float = 1e-8
                                ) -> tuple[sep.SeparableDecomposition, sep.FfcnmReport]:

@@ -192,6 +192,30 @@ def ppt66_state(seed, iters=400):
     return _ppt_alternating(seed, 6, 6, iters)
 
 
+def continuum_56_npt():
+    """rho ~ |psi><psi| + |1><1| (x) I/4 on 2x4, psi = |0>e_0 + |1>(0.3, 0.5i,
+    0.2, 0.1): rank pattern (5,6), NPT.  Every alpha is a hit, with f = e_0, and
+    the search's determinants vanish only up to rounding (about 1e-16)."""
+    psi = np.array([1, 0, 0, 0, 0.3, 0.5j, 0.2, 0.1])
+    mat = (np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+           + np.kron(np.diag([0.0, 1]), np.eye(4) / 4))
+    return densmat.validate_density(mat / 2, 2, 4)
+
+
+def continuum_55_ppt(seed=4):
+    """|0><0| (x) |f_0><f_0| + |1><1| (x) sigma on 2x4, sigma of full rank, under
+    a random local unitary: separable, rank pattern (5,5), every alpha a hit.
+    At seed 4 the rounding in its determinants has four isolated-looking roots
+    that validate, below the degree bound."""
+    rng = np.random.default_rng(seed)
+    u = np.kron(states.random_unitary(2, rng), states.random_unitary(4, rng))
+    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    mat = (np.kron(np.diag([1.0, 0]), np.diag([1.0, 0, 0, 0]))
+           + np.kron(np.diag([0.0, 1]), x @ x.conj().T))
+    mat = u @ mat @ u.conj().T
+    return densmat.validate_density(mat / np.trace(mat).real, 2, 4)
+
+
 def horodecki_range_mixture(b, seed, weight=0.08):
     """Edge state mixed with one product projector from its own range:
     rank pattern (5,6), PPT, not edge, not separable."""

@@ -293,11 +293,14 @@ def test_provec_subcommand(tmp_path, capsys):
 
 
 def test_provec_subcommand_degenerate(tmp_path, capsys):
-    path = write_state(tmp_path, "h1.json", states.horodecki97(1.0))
-    code, out, _ = run_cli(capsys, "provec", path)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["degenerate"] == "continuum"
+    # the second state's determinants vanish only up to rounding
+    for name, rho in (("h1.json", states.horodecki97(1.0)),
+                      ("c.json", fixtures.continuum_56_npt())):
+        path = write_state(tmp_path, name, rho)
+        code, out, _ = run_cli(capsys, "provec", path)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["degenerate"] == "continuum"
 
 
 def test_ffcnm_verify_subcommand(tmp_path, capsys):

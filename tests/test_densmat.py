@@ -8,8 +8,7 @@ import pytest
 from gramsep import cli, densmat, gram, provec, sep, states, twoxn
 from gramsep.densmat import (
     InputError, NotHermitian, NotPSD, SizeMismatch, TraceDeviation,
-    is_ppt, numeric_rank, partial_transpose, product_index, split_index,
-    validate_density,
+    is_ppt, numeric_rank, partial_transpose, product_index, validate_density,
 )
 
 
@@ -24,7 +23,7 @@ def test_product_index_bijective():
     for _ in range(200):
         m, n = rng.integers(2, 7), rng.integers(2, 9)
         i, j = int(rng.integers(0, m)), int(rng.integers(0, n))
-        assert split_index(product_index(i, j, n), n) == (i, j)
+        assert divmod(product_index(i, j, n), n) == (i, j)
 
 
 def test_product_index_out_of_range():
@@ -229,7 +228,6 @@ def record_cases():
     """(record class, required fields in order with sample values, defaults)."""
     rho = states.werner(0.2)
     one, eye2 = np.ones((1, 2)), np.eye(2, dtype=complex)
-    g = gram.GramSystem(2, 2, np.eye(4))
     hit = provec.ProductVectorHit(0.5j, False, np.ones(2), np.ones(2), 0.0, 0.0)
     return [
         (densmat.DensityMatrix, dict(dim_a=2, dim_b=2, mat=rho.mat),
@@ -237,11 +235,6 @@ def record_cases():
         (densmat.RankReport, dict(rank=1, eigenvalues=np.array([1.0, 0.0]), threshold=1e-9), {}),
         (gram.GramSystem, dict(dim_a=2, dim_b=2, vectors=np.eye(4, dtype=complex)), {}),
         (gram.Decomposition, dict(dim_a=2, dim_b=2, terms=np.eye(4, dtype=complex)), {}),
-        (gram.ConnectResult, dict(u=eye2, residual=0.0, unitary_residual=0.0,
-                                  rank_deficient=False), {}),
-        (gram.FactorMapSystem, dict(gram=g, base=np.eye(4, 2), maps=np.zeros((2, 4, 4)),
-                                    residual=0.0), {}),
-        (gram.RelationResult, dict(v=eye2, v_tilde=eye2, residual=0.0), {}),
         (sep.SeparableDecomposition, dict(dim_a=2, dim_b=2, phis=one + 0j, psis=one + 0j), {}),
         (sep.DiagonalGramCertificate, dict(dim_a=2, dim_b=2, diagonals=one.T + 0j,
                                            frame=one.T + 0j), dict(basis_a=None, basis_b=None)),
@@ -258,7 +251,6 @@ def record_cases():
         (provec.ProductVectorHit, dict(alpha=0.5j, at_infinity=False, e=np.ones(2),
                                        f=np.ones(2), residual_range=0.0,
                                        residual_pt_range=0.0), {}),
-        (provec.SubtractionResult, dict(rho_prime=rho, weight=0.5, rank_drop=1), {}),
         (provec.EdgeVerdict, dict(verdict="not_edge", witness=hit, hits=(hit,)), {}),
     ]
 

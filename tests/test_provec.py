@@ -1,13 +1,12 @@
-"""Product vectors in ranges, projector subtraction, edge detection."""
+"""Product vectors in ranges, edge detection."""
 
 import numpy as np
 import pytest
 
 from gramsep import densmat, provec, states
 from gramsep.provec import (
-    DegenerateSystem, NotInRange, ProductVectorHit, UnsupportedRankPattern,
-    balanced_subtraction_vector, determinant_equation_57, edge_state_test,
-    find_product_vectors, subtract_product_projector,
+    DegenerateSystem, ProductVectorHit, UnsupportedRankPattern,
+    determinant_equation_57, edge_state_test, find_product_vectors,
 )
 
 import fixtures
@@ -524,120 +523,20 @@ def test_unsupported_rank_pattern():
         find_product_vectors(rho)
 
 
-def test_subtract_projector_maximally_mixed():
-    mix = densmat.validate_density(np.eye(4) / 4, 2, 2)
-    res = subtract_product_projector(mix, np.array([1, 0]), np.array([1, 0]))
-    assert abs(res.weight - 0.25) < 1e-12
-    assert res.rank_drop == 1
-    evals = np.linalg.eigvalsh(res.rho_prime.mat)
-    assert evals[0] > -1e-12
-
-
-def test_subtract_projector_pure_product_self():
-    rho, sd = states.random_separable(2, 3, 1, seed=5)
-    res = subtract_product_projector(rho, sd.phis[0], sd.psis[0])
-    assert abs(res.weight - 1.0) < 1e-10
-    assert np.abs(res.rho_prime.mat).max() < 1e-10
-    assert res.rank_drop == 1
-
-
-def test_subtract_projector_out_of_range():
-    rho, _ = states.random_separable(2, 4, 3, seed=6)  # rank 3 < 8
-    rng = np.random.default_rng(0)
-    e = rng.normal(size=2) + 1j * rng.normal(size=2)
-    f = rng.normal(size=4) + 1j * rng.normal(size=4)
-    with pytest.raises(NotInRange):
-        subtract_product_projector(rho, e, f)
-
-
-def test_subtract_recovered_hit_drops_rank():
-    rho, _ = states.random_separable(2, 4, 5, seed=42)
-    hits = find_product_vectors(rho)
-    res = subtract_product_projector(rho, hits[0].e, hits[0].f)
-    assert res.rank_drop == 1
-    evals = np.linalg.eigvalsh(res.rho_prime.mat)
-    assert evals[0] >= -1e-9 * evals[-1]
-    assert densmat.numeric_rank(res.rho_prime.mat).rank == 4
-
-
-def test_balanced_subtraction_two_qubits():
-    """Full-rank two-qubit separable states admit a product vector whose
-    critical subtraction weights agree for the state and its transpose."""
-    sep_part, _ = states.random_separable(2, 2, 4, seed=3)
-    mat = 0.7 * sep_part.mat + 0.3 * np.eye(4) / 4
-    rho = densmat.validate_density(mat, 2, 2)
-    e, f = balanced_subtraction_vector(rho, seed=1)
-    pt = densmat.validate_density(densmat.partial_transpose(rho, "A"), 2, 2,
-                                  unnormalized=True)
-    wa = subtract_product_projector(rho, e, f).weight
-    wb = subtract_product_projector(pt, e.conj(), f).weight
-    assert abs(wa - wb) < 1e-8
-    # subtracting at that weight drops the rank on both sides
-    sub = subtract_product_projector(rho, e, f)
-    assert sub.rank_drop == 1
-
-
-def test_balanced_subtraction_kernel_walk_2x3():
-    """Rank-deficient states walk the in-range family along alpha."""
-    for seed in range(3):
-        rho, _ = states.random_separable(2, 3, 5, seed=seed)
-        assert densmat.rank_pattern(rho) == (5, 5)
-        e, f = balanced_subtraction_vector(rho, seed=seed)
-        pt = densmat.validate_density(densmat.partial_transpose(rho, "A"), 2, 3,
-                                      unnormalized=True)
-        wa = subtract_product_projector(rho, e, f).weight
-        wb = subtract_product_projector(pt, e.conj(), f).weight
-        assert abs(wa - wb) <= 1e-10
-
-
-def test_balanced_subtraction_reduction_chain_2x3():
-    """Full 2x3 chain: balanced subtractions walk (6,6) -> (5,5) -> (4,4),
-    an isolated equal-weight hit takes it to (3,3), and the rank-N
-    commutator test certifies the remainder."""
-    from gramsep import twoxn
-
-    sep_part, _ = states.random_separable(2, 3, 6, seed=4)
-    rho = densmat.validate_density(0.7 * sep_part.mat + 0.3 * np.eye(6) / 6, 2, 3)
-    assert densmat.rank_pattern(rho) == (6, 6)
-
-    def renorm(sub):
-        return densmat.validate_density(
-            sub.rho_prime.mat / np.trace(sub.rho_prime.mat).real, 2, 3)
-
-    for step, expect in [(2, (5, 5)), (3, (4, 4))]:
-        e, f = balanced_subtraction_vector(rho, seed=step, tol=1e-13)
-        pt = densmat.validate_density(densmat.partial_transpose(rho, "A"), 2, 3,
-                                      unnormalized=True)
-        wr = subtract_product_projector(rho, e, f).weight
-        wp = subtract_product_projector(pt, e.conj(), f).weight
-        assert abs(wr - wp) < 1e-8
-        rho = renorm(subtract_product_projector(rho, e, f))
-        assert densmat.rank_pattern(rho) == expect
-        assert densmat.is_ppt(rho)[0]
-
-    hits = find_product_vectors(rho)
-    assert 1 <= len(hits) <= 4
-    pt = densmat.validate_density(densmat.partial_transpose(rho, "A"), 2, 3,
-                                  unnormalized=True)
-    for h in hits:
-        wr = subtract_product_projector(rho, h.e, h.f).weight
-        wp = subtract_product_projector(pt, h.e.conj(), h.f).weight
-        if wr <= wp + 1e-10:
-            rho = renorm(subtract_product_projector(rho, h.e, h.f))
-            break
-    else:
-        raise AssertionError("no subtractable hit on the (4,4) state")
-    assert densmat.rank_pattern(rho) == (3, 3)
-    # scrub the sub-threshold eigenvalue the chain leaves behind
-    clean = fixtures.psd_rank_project(rho.mat, 3)
-    rho = densmat.validate_density(clean / np.trace(clean).real, 2, 3)
-    sol = twoxn.rank_n_test(twoxn.canonical_form(rho))
-    assert sol.accepted, sol.normality_residual
-
-
-def test_balanced_subtraction_rejects_isolated_patterns():
-    with pytest.raises(UnsupportedRankPattern):
-        balanced_subtraction_vector(states.horodecki97(0.5))
+def test_rounding_level_determinants_are_a_continuum():
+    """Determinants zero up to rounding (largest coefficient about 1e-16 of the
+    Hadamard bound of their kernel rows) mean every alpha is a hit: the search
+    raises the continuum instead of reading isolated hits off the noise, and
+    the edge test finds a witness on it."""
+    for rho, pattern in ((fixtures.continuum_56_npt(), (5, 6)),
+                         (fixtures.continuum_55_ppt(), (5, 5))):
+        assert densmat.rank_pattern(rho) == pattern
+        with pytest.raises(DegenerateSystem) as exc:
+            find_product_vectors(rho)
+        assert exc.value.continuum
+    ev = edge_state_test(fixtures.continuum_55_ppt())
+    assert ev.verdict == "not_edge"
+    assert max(ev.witness.residual_range, ev.witness.residual_pt_range) <= 1e-8
 
 
 def test_edge_verdict_unknown_outside_completeness_domain():
@@ -665,15 +564,3 @@ def test_edge_state_test_on_full_rank_state():
     assert ev.hits == (ev.witness,)
     assert ev.witness.residual_range == ev.witness.residual_pt_range == 0.0
     assert abs(np.linalg.norm(ev.witness.f) - 1) < 1e-12
-
-
-def test_subtractions_validate_at_state_tol():
-    """A state accepted at tol 1e-6 with a 1e-7 Hermiticity defect: the
-    residue and the partial transpose are validated at the same tol."""
-    mat = states.werner(0.2).mat.copy()
-    mat[0, 1] += 3e-8
-    rho = densmat.validate_density(mat, 2, 2, tol=1e-6)
-    res = subtract_product_projector(rho, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    assert res.rank_drop == 1
-    e, f = balanced_subtraction_vector(rho)
-    assert abs(np.linalg.norm(e) - 1) < 1e-12 and abs(np.linalg.norm(f) - 1) < 1e-12

@@ -9,8 +9,7 @@ from gramsep import cli, densmat, gram, sep, states
 from gramsep.sep import (
     DiagonalGramCertificate, SeparableDecomposition, SingularD,
     build_ffcnm, certificate_to_decomposition, decomposition_to_certificate,
-    extract_certificate, joint_diagonalize, pt_diagonal_conjugate,
-    pt_frame_conjugate, verify_certificate, verify_ffcnm,
+    extract_certificate, joint_diagonalize, verify_certificate, verify_ffcnm,
 )
 
 import fixtures
@@ -84,16 +83,6 @@ def test_zero_diagonal_enforcement():
     assert cert.basis_a is not None
     assert verify_certificate(cert, rho, tol=1e-10).passed
     assert certificate_to_decomposition(cert, rho).residual(rho) < 1e-10
-
-
-def test_pt_conjugation_invariants():
-    for seed in (0, 1):
-        rho, sd = random_separable_pair(2, 3, 4, seed)
-        cert = decomposition_to_certificate(sd)
-        rho_tb = densmat.validate_density(densmat.partial_transpose(rho, "B"), 2, 3)
-        assert verify_certificate(pt_frame_conjugate(cert), rho_tb, tol=1e-10).passed
-        rho_ta = densmat.validate_density(densmat.partial_transpose(rho, "A"), 2, 3)
-        assert verify_certificate(pt_diagonal_conjugate(cert), rho_ta, tol=1e-10).passed
 
 
 def test_certified_states_are_ppt():

@@ -173,8 +173,8 @@ def test_companion_gram_structure():
     for j in range(n):
         expected = np.concatenate([cf.b[j, :].conj(), cf.lam[j, :].conj()])
         assert np.abs(g.vector(1, j) - expected).max() < 1e-12
-    # and the Gram matrix is the A-swapped canonical state
-    swapped = twoxn.swapped_canonical_matrix(cf)
+    # and the Gram matrix is the A-swapped canonical state [[I, B^dag], [B, A]]
+    swapped = np.block([[np.eye(n), cf.b.conj().T], [cf.b, cf.a]])
     assert np.abs(g.gram_matrix() - swapped).max() < 1e-9
 
 
