@@ -4,6 +4,13 @@ The analyze pipeline runs PPT -> canonical form -> rank-case dispatch ->
 extension solver -> certificate extraction, and never overclaims: a state is
 reported separable only with a verified certificate attached, and a failed
 heuristic search yields ``ppt_undecided`` rather than an entanglement verdict.
+
+After the exact rank-N, self-transpose and (N+1, N+1) paths, a PPT 2xN
+state on which the product-vector search is complete is decomposed over its
+hits first (``solver.method`` "product_vector_cone"): every term of a
+product decomposition is a hit, so a fit over them certifies a separable
+state, and no hit at all rules one out.  A failed fit, dependent hit
+projectors or a continuum of hits hand the state to the solvers unchanged.
 """
 
 from __future__ import annotations
@@ -96,6 +103,27 @@ def _canonical_with_fallbacks(rho: DensityMatrix):
     return cf, used, lift
 
 
+def _product_vector_cone(rho: DensityMatrix):
+    """(hits, fit) where the product-vector search of rho is complete, that
+    is for kernel dims k + k' = N or k = N - 1 < k + k'; fit is
+    provec.fit_product_cone's (phis, psis, residual), or None where there
+    are no hits or their projectors are dependent.  None where the search
+    is incomplete or finds a continuum."""
+    n = rho.dim_b
+    k, kp = (2 * n - rank for rank in densmat.rank_pattern(rho))
+    if not (k + kp == n or k == n - 1 < k + kp):
+        return None
+    from . import provec  # only this path and cmd_provec search product vectors
+    try:
+        hits = provec.find_product_vectors(rho)
+    except provec.DegenerateSystem:
+        return None
+    try:
+        return hits, provec.fit_product_cone(rho, hits) if hits else None
+    except provec.DegenerateSystem:
+        return hits, None
+
+
 def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
                   budget: int = 12, seed: int = 0,
                   cert_tol: float = 1e-8, with_timings: bool = False) -> dict:
@@ -175,6 +203,7 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
         return finish(VERDICT_UNDECIDED, "PPT is marginal; canonical gap not factorable")
 
     rejection = None  # (verdict, note) reported when the solver accepts nothing
+    search = None  # (hits, fit) of _product_vector_cone, where it ran
     if ep.q == 0:
         sol = twoxn.rank_n_test(cf)
         rejection = (VERDICT_UNDECIDED, f"rank-N commutator residual "
@@ -199,14 +228,33 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
         else:
             rejection = (VERDICT_UNDECIDED, "no scalar normal completion exists, so no (N+1)-term "
                                             "product decomposition; longer ones are not excluded")
-    elif cf.n == 4 and (ep.p, ep.p_tilde) == (1, 2):
-        sol = twoxn.solve_extension_56(ep)
-        rejection = (VERDICT_UNDECIDED,
-                     "no completion found on the search grid; existence not excluded")
     else:
-        sol = twoxn.solve_extension_general(ep, budget=budget, seed=seed)
-        rejection = (VERDICT_UNDECIDED, f"best completion residual {sol.normality_residual:.3e}")
+        search = _product_vector_cone(used)
+        if search is not None:
+            hits, fit = search
+            report["solver"] = {"method": "product_vector_cone", "hits": len(hits)}
+            if not hits:
+                timings["solver"] = time.perf_counter() - t0
+                return finish(VERDICT_UNDECIDED,
+                              "the complete product-vector search finds no product vector in "
+                              "the range with its partner in the PT range; entangled_range is "
+                              "not reported on this path")
+            if fit is not None:
+                report["solver"]["fit_residual"] = fit[2]
+                if fit[2] <= cert_tol:
+                    timings["solver"] = time.perf_counter() - t0
+                    return certify(post(sep.SeparableDecomposition(2, used.dim_b, *fit[:2])))
+        if cf.n == 4 and (ep.p, ep.p_tilde) == (1, 2):
+            sol = twoxn.solve_extension_56(ep)
+            rejection = (VERDICT_UNDECIDED,
+                         "no completion found on the search grid; existence not excluded")
+        else:
+            sol = twoxn.solve_extension_general(ep, budget=budget, seed=seed)
+            rejection = (VERDICT_UNDECIDED,
+                         f"best completion residual {sol.normality_residual:.3e}")
     report["solver"] = _solver_dict(sol)
+    if search is not None:
+        report["solver"]["hits"] = len(search[0])
     timings["solver"] = time.perf_counter() - t0
     if rejection is not None and not sol.accepted:
         return finish(*rejection)

@@ -17,6 +17,10 @@ deficient.  By the kernel dimensions (k, k') of a 2xN state:
   a determinant with the k rows; the roots of a 2k-size pencil of the pair
   (the enumeration above where it is degenerate) seed the polish, and
   validation against the full stack keeps the hits, at most 2k.
+
+In both complete cases every term |e, f> of a product decomposition of rho
+is a hit, so rho is separable iff it is a nonnegative combination of the
+hit projectors: fit_product_cone fits it by one real least-squares solve.
 """
 
 from __future__ import annotations
@@ -347,6 +351,29 @@ def _polished_roots(coeffs, scale, al, degree):
         small = np.abs(terms(al)[:, 0]) <= 1e-9 * np.maximum(1 / scale[:, None], grow)
         roots = al[small.all(0)]
     return [(a, False) for a in roots] + [(0j, True)]
+
+
+def fit_product_cone(rho: DensityMatrix, hits) -> tuple[np.ndarray, np.ndarray, float]:
+    """(phis, psis, residual): rho = sum_h w_h |e_h f_h><e_h f_h| fitted over
+    the hits by one real least-squares solve, with the terms of w_h <= 0
+    dropped.  Row h of phis is sqrt(w_h) e_h and of psis f_h, over the kept
+    hits; ``residual`` is the largest entry of |rho - sum_kept|.
+
+    Where the search is complete, every term of a product decomposition of
+    rho is a hit, so rho separable means this fit is exact.  Linearly
+    dependent projectors leave the weights undetermined: DegenerateSystem.
+    """
+    vecs = np.array([h.product_vector() for h in hits])
+    projectors = vecs[:, :, None] * vecs[:, None, :].conj()              # H x 2N x 2N
+    system = np.concatenate([projectors.real, projectors.imag], axis=1).reshape(len(hits), -1)
+    target = np.concatenate([rho.mat.real, rho.mat.imag])
+    w, _, rank, _ = np.linalg.lstsq(system.T, target.reshape(-1), rcond=None)
+    if rank < len(hits):
+        raise DegenerateSystem(f"{len(hits)} hit projectors span only {rank} dimensions")
+    keep = w > 0
+    fitted = np.tensordot(w[keep], projectors[keep], 1)
+    phis = np.array([h.e for h in hits])[keep] * np.sqrt(w[keep])[:, None]
+    return phis, np.array([h.f for h in hits])[keep], float(np.abs(rho.mat - fitted).max())
 
 
 def determinant_equation_57(rho: DensityMatrix, tol: float = 1e-7) -> list[ProductVectorHit]:

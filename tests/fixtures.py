@@ -79,11 +79,20 @@ def psd_rank_project(h, r):
     return (evecs[:, idx] * evals[idx]) @ evecs[:, idx].conj().T
 
 
-def separable_56(seed):
+def separable_56(seed, gap=None):
     """Five generic product pairs plus a sixth product vector inside their
-    span: a separable 2x4 state with rank pattern (5,6)."""
+    span: a separable 2x4 state with rank pattern (5,6).  With ``gap`` the
+    second pair's A vector is (1, alpha_0 + gap u), |u| = 1, normalized,
+    next to the first pair's (1, alpha_0)."""
     rng = np.random.default_rng(seed)
     rho5, sd5 = states.random_separable(2, 4, 5, seed=seed)
+    if gap is not None:
+        u = complex(*rng.normal(size=2))
+        phis = sd5.phis.copy()
+        phis[1] = (1, phis[0, 1] / phis[0, 0] + gap * u / abs(u))
+        phis[1] /= np.linalg.norm(phis[1])
+        sd5 = sep.SeparableDecomposition(2, 4, phis, sd5.psis)
+        rho5 = densmat.validate_density(sd5.density(), 2, 4)
     blocks = provec._row_blocks(rho5)
     psi0, psi1 = blocks[0], blocks[1]
     alpha6 = complex(*rng.normal(size=2))
@@ -97,6 +106,21 @@ def separable_56(seed):
     sd = sep.SeparableDecomposition(2, 4, phis / tr ** 0.25, psis / tr ** 0.25)
     rho = densmat.validate_density(sd.density(), 2, 4)
     return rho, sd
+
+
+def separable_66(seed, gap):
+    """Six product pairs on 2x4, rank pattern (6,6), the second of them on
+    the A vector (1, alpha_0 + gap u), |u| = 1, of the first, (1, alpha_0):
+    at gap = 0 the two share it, so that hit has a 2-dim f space."""
+    rng = np.random.default_rng(seed)
+    phis = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    u = complex(*rng.normal(size=2))
+    phis[1] = (1, phis[0, 1] / phis[0, 0] + gap * u / abs(u))
+    psis = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    sd = sep.SeparableDecomposition(2, 4, phis, psis)
+    tr = np.trace(sd.density()).real
+    sd = sep.SeparableDecomposition(2, 4, phis / tr ** 0.25, psis / tr ** 0.25)
+    return densmat.validate_density(sd.density(), 2, 4), sd
 
 
 def rank57_state(seed, planted=False, iters=250):

@@ -186,12 +186,16 @@ def test_analyze_byte_identical(tmp_path, capsys):
 
 
 def test_analyze_56_byte_identical_in_process():
-    rho, _ = fixtures.separable_56(1)
-    first, second = (json.dumps(cli.analyze_state(rho), sort_keys=True, default=float)
-                     for _ in range(2))
-    assert json.loads(first)["solver"]["method"] == "alpha_beta_grid"
-    assert json.loads(first)["verdict"] == "separable_certified"
-    assert first == second
+    """A separable (5,6) state is certified from its product-vector hits.
+    With two A vectors 1e-5 apart the fit over them fails, and the grid
+    certifies the state; both reports are byte-identical on repeat."""
+    for rho, method in ((fixtures.separable_56(1)[0], "product_vector_cone"),
+                        (fixtures.separable_56(1, gap=1e-5)[0], "alpha_beta_grid")):
+        first, second = (json.dumps(cli.analyze_state(rho), sort_keys=True, default=float)
+                         for _ in range(2))
+        assert json.loads(first)["solver"]["method"] == method
+        assert json.loads(first)["verdict"] == "separable_certified"
+        assert first == second
 
 
 def test_analyze_survives_a_long_descent_with_vanishing_damping():
@@ -209,6 +213,80 @@ def test_analyze_survives_a_long_descent_with_vanishing_damping():
     assert report["case"] == "(5,6)"
     assert np.isfinite(report["solver"]["normality_residual"])
     assert report["solver"]["nfev"] <= 100
+
+
+SOLVER_MISSES = ["sep56_7_0.json", "sep56_2014_2.json", "sep56_2019_5.json",
+                 "mix_2x4_k6_1817_1.json"]
+
+
+@pytest.mark.parametrize("name", SOLVER_MISSES)
+def test_product_vector_cone_certifies_the_solver_misses(name):
+    """Separable states that the (5,6) grid or the 12-start descent left
+    undecided, from ``bench/inputs.py``: ``ppt-2x4`` seeds 7, 2014 and 2019
+    (``sep56#0``, ``#2``, ``#5``) and ``certify-2xN`` seed 1817
+    (``mix-2x4-k6#1``).  The product-vector search is complete on their
+    patterns, so the fit over its hits decomposes them, and the certificate
+    is re-verified like every other."""
+    rho = densmat.state_from_json_dict(json.loads(Path(__file__).with_name(name).read_text()))
+    report = cli.analyze_state(rho)
+    assert report["verdict"] == "separable_certified"
+    assert report["solver"]["method"] == "product_vector_cone"
+    assert report["solver"]["fit_residual"] <= 1e-8
+    assert report["terms"] <= report["solver"]["hits"]
+    cert = sep.certificate_from_json_dict(report["certificate"])
+    assert sep.verify_certificate(cert, rho, tol=1e-8).passed
+
+
+def test_product_vector_cone_certifies_every_random_246_mixture():
+    """random_separable(2, 4, 6) has rank pattern (6,6), the determinant
+    case; seeds 0-59 are all certified, seed 17 included, which the
+    12-start descent left undecided."""
+    for seed in range(60):
+        report = cli.analyze_state(states.random_separable(2, 4, 6, seed=seed)[0])
+        assert report["verdict"] == "separable_certified", seed
+        assert report["solver"]["method"] == "product_vector_cone", seed
+
+
+def test_range_mixture_falls_back_to_the_grid_with_its_hit_count():
+    """The range mixture of ``range_mix_1202_9.json`` has one hit, which
+    does not fit it: the grid runs as before and the report adds the count."""
+    path = Path(__file__).with_name("range_mix_1202_9.json")
+    report = cli.analyze_state(densmat.state_from_json_dict(json.loads(path.read_text())))
+    assert report["verdict"] == "ppt_undecided"
+    assert report["solver"]["method"] == "alpha_beta_grid"
+    assert report["solver"]["hits"] == 1 and report["solver"]["nfev"] <= 100
+    assert "fit_residual" not in report["solver"]
+
+
+def test_edge_56_state_without_hits_runs_no_solver(monkeypatch):
+    """A (5,6) edge state has no hit, so no product decomposition: it stays
+    undecided (never entangled_*) and no completion solver runs."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a completion solver ran")
+
+    monkeypatch.setattr(twoxn, "solve_extension_56", boom)
+    monkeypatch.setattr(twoxn, "solve_extension_general", boom)
+    report = cli.analyze_state(fixtures.ppt56_state(0))
+    assert report["case"] == "(5,6)" and report["verdict"] == "ppt_undecided"
+    assert report["solver"] == {"method": "product_vector_cone", "hits": 0}
+
+
+def test_shared_a_vector_66_state_is_certified_by_the_solver():
+    """Two terms on one A vector give that hit a 2-dim f space, of which the
+    search reports one f: the fit fails and the descent certifies it."""
+    report = cli.analyze_state(fixtures.separable_66(0, gap=0.0)[0])
+    assert report["case"] == "(6,6)" and report["verdict"] == "separable_certified"
+    assert report["solver"]["method"] == "multistart_lm"
+    assert report["solver"]["hits"] == 5
+
+
+def test_near_coincident_56_state_is_certified_by_the_grid():
+    """Two A vectors 1e-5 apart leave their two hits nearly dependent, and
+    the fit over all six misses by about 1e-7; the (5,6) grid certifies."""
+    report = cli.analyze_state(fixtures.separable_56(3, gap=1e-5)[0])
+    assert report["case"] == "(5,6)" and report["verdict"] == "separable_certified"
+    assert report["solver"]["method"] == "alpha_beta_grid"
+    assert report["solver"]["hits"] == 6
 
 
 def test_tol_before_or_after_subcommand(tmp_path, capsys):
@@ -474,7 +552,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         "import fixtures",
         "from gramsep import cli, states",
         "general = cli.analyze_state(states.random_separable(2, 3, 5, seed=1)[0])",
-        "grid = cli.analyze_state(fixtures.separable_56(1)[0])",
+        "grid = cli.analyze_state(fixtures.separable_56(1, gap=1e-5)[0])",
         "print(general['solver']['method'], grid['solver']['method'])",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])

@@ -6,7 +6,7 @@ import pytest
 from gramsep import densmat, provec, states
 from gramsep.provec import (
     DegenerateSystem, ProductVectorHit, UnsupportedRankPattern,
-    determinant_equation_57, edge_state_test, find_product_vectors,
+    determinant_equation_57, edge_state_test, find_product_vectors, fit_product_cone,
 )
 
 import fixtures
@@ -14,6 +14,41 @@ import fixtures
 
 def overlap(u, v):
     return abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def test_cone_fit_over_a_complete_hit_set_is_exact():
+    """Every term of a separable (5,6) state is a hit, so the fit over the
+    six hits rebuilds it, with one positive weight per generator."""
+    rho, sd = fixtures.separable_56(1)
+    phis, psis, residual = fit_product_cone(rho, find_product_vectors(rho))
+    assert residual <= 1e-13 and phis.shape == (6, 2) and psis.shape == (6, 4)
+    fitted = sum(np.outer(v, v.conj()) for v in (np.kron(a, b) for a, b in zip(phis, psis)))
+    assert np.abs(fitted - rho.mat).max() <= 1e-13
+    for phi, psi in zip(sd.phis, sd.psis):
+        gen = np.kron(phi, psi)
+        assert max(overlap(np.kron(a, b), gen) for a, b in zip(phis, psis)) > 1 - 1e-9
+
+
+def _hit(e, f):
+    e, f = np.asarray(e, dtype=complex), np.asarray(f, dtype=complex)
+    return ProductVectorHit(0j, False, e / np.linalg.norm(e), f / np.linalg.norm(f), 0.0, 0.0)
+
+
+def test_cone_fit_drops_the_terms_of_nonpositive_weight():
+    """|10><10| fitted over |00> and |+0>: least squares gives w = (-1/3, 2/3),
+    so only (2/3)|+0><+0| is kept, and the residual is that of the kept term."""
+    rho = densmat.validate_density(np.diag([0, 0, 1, 0]).astype(complex), 2, 2)
+    phis, psis, residual = fit_product_cone(rho, [_hit([1, 0], [1, 0]), _hit([1, 1], [1, 0])])
+    assert np.allclose(phis, [np.sqrt(2 / 3) * np.array([1, 1]) / np.sqrt(2)])
+    assert np.allclose(psis, [[1, 0]])
+    assert residual == pytest.approx(2 / 3)
+
+
+def test_cone_fit_raises_on_dependent_projectors():
+    rho, _ = fixtures.separable_56(1)
+    hits = find_product_vectors(rho)
+    with pytest.raises(DegenerateSystem):
+        fit_product_cone(rho, hits + hits[:1])
 
 
 def test_55_recovers_generators():
