@@ -15,7 +15,7 @@ densmat   validation, product indexing, partial transposition, PPT/rank tests
 gram      Gram systems, decompositions, isometric embeddings
 sep       diagonal-Gram certificates and commuting normal matrix families
 twoxn     canonical 2xN forms and the normal-extension solvers
-provec    product vectors in ranges, edge detection
+provec    product vectors in ranges, edge detection, product subtraction
 states    named and random generators with known ground truth
 cli       command-line frontend (`gramsep analyze`, `gramsep gen`, ...)
 """

@@ -11,6 +11,13 @@ hits first (``solver.method`` "product_vector_cone"): every term of a
 product decomposition is a hit, so a fit over them certifies a separable
 state, and no hit at all rules one out.  A failed fit, dependent hit
 projectors or a continuum of hits hand the state to the solvers unchanged.
+
+A PPT 2x3 state that would reach the descent (kernel dims k + k' < 3) has
+product projectors subtracted down to a remainder of k + k' >= 3, which
+the exact paths above decide (``solver.method`` "product_subtraction");
+on 2x3 PPT is separability, so the remainder stays separable.  Where the
+subtraction or the remainder's exact path fails, the descent runs on the
+input as before.  Other patterns, and 2x2 and 2xN with N >= 4, descend.
 """
 
 from __future__ import annotations
@@ -103,6 +110,11 @@ def _canonical_with_fallbacks(rho: DensityMatrix):
     return cf, used, lift
 
 
+def _kernel_dims(rho: DensityMatrix) -> tuple[int, int]:
+    """(k, k'), the kernel dimensions of rho and rho^{T_A} on 2xN."""
+    return tuple(2 * rho.dim_b - rank for rank in densmat.rank_pattern(rho))
+
+
 def _product_vector_cone(rho: DensityMatrix):
     """(hits, fit) where the product-vector search of rho is complete, that
     is for kernel dims k + k' = N or k = N - 1 < k + k'; fit is
@@ -110,10 +122,10 @@ def _product_vector_cone(rho: DensityMatrix):
     are no hits or their projectors are dependent.  None where the search
     is incomplete or finds a continuum."""
     n = rho.dim_b
-    k, kp = (2 * n - rank for rank in densmat.rank_pattern(rho))
+    k, kp = _kernel_dims(rho)
     if not (k + kp == n or k == n - 1 < k + kp):
         return None
-    from . import provec  # only this path and cmd_provec search product vectors
+    from . import provec  # loaded only by the paths that search or subtract product vectors
     try:
         hits = provec.find_product_vectors(rho)
     except provec.DegenerateSystem:
@@ -124,75 +136,49 @@ def _product_vector_cone(rho: DensityMatrix):
         return hits, None
 
 
-def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
-                  budget: int = 12, seed: int = 0,
-                  cert_tol: float = 1e-8, with_timings: bool = False) -> dict:
-    """Full separability analysis of a bipartite state; returns the report dict."""
-    timings = {}
-    report = {
-        "m": rho.dim_a,
-        "n": rho.dim_b,
-        "tolerances": {"validation": tol, "certificate": cert_tol},
-        "solver": None,
-        "certificate": None,
-        "terms": None,
-        "residuals": {},
-    }
+def _product_subtraction(used: DensityMatrix, post, rho: DensityMatrix, cert_tol: float):
+    """(sd, solver) for a PPT 2x3 state ``used`` of kernel dims k + k' < 3:
+    product projectors subtracted by provec.subtract_product_projectors, the
+    remainder decomposed by the exact branches of _decompose, and sd, the
+    subtracted terms followed by the remainder's, mapped by ``post`` onto rho
+    and within ``cert_tol`` of it.  None elsewhere, and where the subtraction
+    fails or the remainder has no exact branch that accepts."""
+    if used.dim_b != 3 or sum(_kernel_dims(used)) >= 3:
+        return None
+    from . import provec  # loaded only by the paths that search or subtract product vectors
+    sub = {"residuals": {}}
+    try:
+        remainder, phis, psis = provec.subtract_product_projectors(used)
+        part, _ = _decompose(remainder, sub, {}, cert_tol, exact_only=True)
+    except (InputError, provec.DegenerateSystem, np.linalg.LinAlgError):
+        return None
+    if part is None:
+        return None
+    sd = post(sep.SeparableDecomposition(2, 3, np.vstack([phis, part.phis]),
+                                         np.vstack([psis, part.psis])))
+    if sd.residual(rho) > cert_tol:
+        return None
+    return sd, {"method": "product_subtraction", "subtractions": len(phis),
+                "remainder": {"case": "({},{})".format(*densmat.rank_pattern(remainder)),
+                              **sub["solver"]}}
 
-    t0 = time.perf_counter()
-    r, rt = densmat.rank_pattern(rho)
-    ppt, min_eig = densmat.is_ppt(rho, tol)
-    timings["spectral"] = time.perf_counter() - t0
-    report["rank"] = r
-    report["rank_pt"] = rt
-    report["case"] = f"({r},{rt})"
-    report["ppt"] = bool(ppt)
-    report["ppt_min_eigenvalue"] = float(min_eig)
 
-    def finish(verdict, note=None):
-        report["verdict"] = verdict
-        if note:
-            report["note"] = note
-        if with_timings:
-            report["timings"] = timings
-        return report
-
-    def certify(sd):
-        t0 = time.perf_counter()
-        cert = sep.decomposition_to_certificate(sd)
-        check = sep.verify_certificate(cert, rho, tol=cert_tol)
-        if not check.passed:
-            timings["verify"] = time.perf_counter() - t0
-            return finish(VERDICT_UNDECIDED,
-                          f"certificate verification failed at {check.max_deviation:.3e}")
-        report["certificate"] = sep.certificate_to_json_dict(cert)
-        report["residuals"]["certificate"] = check.max_deviation
-        report["terms"] = sd.k
-        timings["verify"] = time.perf_counter() - t0
-        return finish(VERDICT_SEPARABLE)
-
-    if not ppt:
-        return finish(VERDICT_NPT)
-
-    if rho.dim_a > 2:
-        return finish(VERDICT_UNDECIDED,
-                      "decision procedures cover 2xN states; use ffcnm-verify "
-                      "to check a candidate certificate")
-
-    if r == 1:
-        sd = _schmidt_product_decomposition(rho, tol)
-        if sd is not None:
-            return certify(sd)
-        return finish(VERDICT_UNDECIDED, "rank-one state with Schmidt rank > 1 slipped the PPT gate")
-
+def _decompose(rho: DensityMatrix, report: dict, timings: dict, cert_tol: float,
+               budget: int = 12, seed: int = 0, exact_only: bool = False):
+    """The dispatch of a PPT 2xN state of rank > 1 on its rank pattern:
+    (sd, None) with a product decomposition of rho still to be certified, or
+    (None, (verdict, note)).  Writes ``report["solver"]``, the family
+    residuals and the stage times.  With ``exact_only`` the searching
+    branches (the (5,6) grid, the product subtraction and the descent) do
+    not run: (None, None) there."""
     t0 = time.perf_counter()
     try:
         cf, used, post = _canonical_with_fallbacks(rho)
     except twoxn.SingularC:
-        return finish(VERDICT_UNDECIDED, "no nonsingular local block to canonicalize against")
+        return None, (VERDICT_UNDECIDED, "no nonsingular local block to canonicalize against")
     except _BSupportIsALine as line:
         timings["canonical"] = time.perf_counter() - t0
-        return certify(line.args[0])
+        return line.args[0], None
     timings["canonical"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -200,7 +186,7 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
         ep = twoxn.known_part(cf)
     except twoxn.NotPPT:
         # PPT passed at tolerance but the canonical gap is numerically negative
-        return finish(VERDICT_UNDECIDED, "PPT is marginal; canonical gap not factorable")
+        return None, (VERDICT_UNDECIDED, "PPT is marginal; canonical gap not factorable")
 
     rejection = None  # (verdict, note) reported when the solver accepts nothing
     search = None  # (hits, fit) of _product_vector_cone, where it ran
@@ -235,7 +221,7 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
             report["solver"] = {"method": "product_vector_cone", "hits": len(hits)}
             if not hits:
                 timings["solver"] = time.perf_counter() - t0
-                return finish(VERDICT_UNDECIDED,
+                return None, (VERDICT_UNDECIDED,
                               "the complete product-vector search finds no product vector in "
                               "the range with its partner in the PT range; entangled_range is "
                               "not reported on this path")
@@ -243,12 +229,21 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
                 report["solver"]["fit_residual"] = fit[2]
                 if fit[2] <= cert_tol:
                     timings["solver"] = time.perf_counter() - t0
-                    return certify(post(sep.SeparableDecomposition(2, used.dim_b, *fit[:2])))
+                    return post(sep.SeparableDecomposition(2, used.dim_b, *fit[:2])), None
+        if exact_only:
+            return None, None
         if cf.n == 4 and (ep.p, ep.p_tilde) == (1, 2):
             sol = twoxn.solve_extension_56(ep)
             rejection = (VERDICT_UNDECIDED,
                          "no completion found on the search grid; existence not excluded")
         else:
+            # on 2x3 PPT is separability: subtract product projectors down to a
+            # pattern an exact branch decides, and descend only where that fails
+            found = _product_subtraction(used, post, rho, cert_tol)
+            if found is not None:
+                report["solver"] = found[1]
+                timings["solver"] = time.perf_counter() - t0
+                return found[0], None
             sol = twoxn.solve_extension_general(ep, budget=budget, seed=seed)
             rejection = (VERDICT_UNDECIDED,
                          f"best completion residual {sol.normality_residual:.3e}")
@@ -257,19 +252,87 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
         report["solver"]["hits"] = len(search[0])
     timings["solver"] = time.perf_counter() - t0
     if rejection is not None and not sol.accepted:
-        return finish(*rejection)
+        return None, rejection
 
     t0 = time.perf_counter()
     try:
         sd_used, fam_report = twoxn.extension_to_decomposition(cf, sol, used, tol=1e-6)
     except (sep.CertificateInvalid, sep.JointDiagonalizationFailed) as exc:
         timings["extract"] = time.perf_counter() - t0
-        return finish(VERDICT_UNDECIDED, f"extraction failed: {exc}")
+        return None, (VERDICT_UNDECIDED, f"extraction failed: {exc}")
     sd = post(sd_used)
     timings["extract"] = time.perf_counter() - t0
     report["residuals"]["family_normality"] = fam_report.normality
     report["residuals"]["family_relation"] = fam_report.relation
-    return certify(sd)
+    return sd, None
+
+
+def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
+                  budget: int = 12, seed: int = 0,
+                  cert_tol: float = 1e-8, with_timings: bool = False) -> dict:
+    """Full separability analysis of a bipartite state; returns the report dict.
+
+    The PPT test, then on 2xN the rank-pattern dispatch of _decompose
+    (exact paths, the product-vector fit, on 2x3 the product subtraction,
+    then the (5,6) grid or the descent), then one certificate of its
+    decomposition, re-verified against rho at ``cert_tol``.  ``budget`` and
+    ``seed`` are the starts and the seed of the multi-start descent."""
+    timings = {}
+    report = {
+        "m": rho.dim_a,
+        "n": rho.dim_b,
+        "tolerances": {"validation": tol, "certificate": cert_tol},
+        "solver": None,
+        "certificate": None,
+        "terms": None,
+        "residuals": {},
+    }
+
+    t0 = time.perf_counter()
+    r, rt = densmat.rank_pattern(rho)
+    ppt, min_eig = densmat.is_ppt(rho, tol)
+    timings["spectral"] = time.perf_counter() - t0
+    report["rank"] = r
+    report["rank_pt"] = rt
+    report["case"] = f"({r},{rt})"
+    report["ppt"] = bool(ppt)
+    report["ppt_min_eigenvalue"] = float(min_eig)
+
+    def finish(verdict, note=None):
+        report["verdict"] = verdict
+        if note:
+            report["note"] = note
+        if with_timings:
+            report["timings"] = timings
+        return report
+
+    if not ppt:
+        return finish(VERDICT_NPT)
+
+    if rho.dim_a > 2:
+        return finish(VERDICT_UNDECIDED,
+                      "decision procedures cover 2xN states; use ffcnm-verify "
+                      "to check a candidate certificate")
+
+    if r == 1:
+        sd = _schmidt_product_decomposition(rho, tol)
+        rejection = (VERDICT_UNDECIDED, "rank-one state with Schmidt rank > 1 slipped the PPT gate")
+    else:
+        sd, rejection = _decompose(rho, report, timings, cert_tol, budget, seed)
+    if sd is None:
+        return finish(*rejection)
+
+    t0 = time.perf_counter()
+    cert = sep.decomposition_to_certificate(sd)
+    check = sep.verify_certificate(cert, rho, tol=cert_tol)
+    timings["verify"] = time.perf_counter() - t0
+    if not check.passed:
+        return finish(VERDICT_UNDECIDED,
+                      f"certificate verification failed at {check.max_deviation:.3e}")
+    report["certificate"] = sep.certificate_to_json_dict(cert)
+    report["residuals"]["certificate"] = check.max_deviation
+    report["terms"] = sd.k
+    return finish(VERDICT_SEPARABLE)
 
 
 def _solver_dict(sol: twoxn.ExtensionSolution) -> dict:
@@ -452,7 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full separability pipeline")
     p.add_argument("state", help="state JSON file")
     common(p)
-    p.add_argument("--budget", type=_int_at_least(1), default=12, help="solver starts")
+    p.add_argument("--budget", type=_int_at_least(1), default=12,
+                   help="starts of the multi-start descent, run where no exact path, "
+                        "product-vector fit or product subtraction decides (default 12)")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--strict", action="store_true", help="halve all tolerances")
     p.add_argument("--timings", action="store_true",

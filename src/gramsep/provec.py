@@ -21,6 +21,8 @@ deficient.  By the kernel dimensions (k, k') of a 2xN state:
 In both complete cases every term |e, f> of a product decomposition of rho
 is a hit, so rho is separable iff it is a nonnegative combination of the
 hit projectors: fit_product_cone fits it by one real least-squares solve.
+Where k + k' < N, subtract_product_projectors removes product projectors
+at one fixed alpha until k + k' >= N, keeping rho and rho^{T_A} positive.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ def _validate_candidates(blocks, candidates, tol):
             if max(res[i], res_pt[i]) <= tol]
 
 
-# Shift of _pencil_eigenvalues: a generic point, away from the points where
+# Shift of _pencil_eigenvalues and the A-side alpha of
+# subtract_product_projectors: a generic point, away from the points where
 # structured states put product vectors (alpha = 0, roots of unity, infinity)
 _PENCIL_SHIFT = 0.5377 + 0.3119j
 
@@ -374,6 +377,48 @@ def fit_product_cone(rho: DensityMatrix, hits) -> tuple[np.ndarray, np.ndarray, 
     fitted = np.tensordot(w[keep], projectors[keep], 1)
     phis = np.array([h.e for h in hits])[keep] * np.sqrt(w[keep])[:, None]
     return phis, np.array([h.f for h in hits])[keep], float(np.abs(rho.mat - fitted).max())
+
+
+def _inverse_weight(spectrum, v: np.ndarray) -> float:
+    """<v|X^+|v> for X given by its (eigenvalues, eigenvectors), over the
+    eigenvalues counted in the numeric rank."""
+    evals, evecs = spectrum
+    keep = densmat.nonzero_eigenvalues(evals)
+    return float((np.abs(evecs[:, keep].conj().T @ v) ** 2 / evals[keep]).sum())
+
+
+def subtract_product_projectors(rho: DensityMatrix
+                                ) -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
+    """(remainder, phis, psis) with rho = remainder + sum_t |phi_t psi_t><phi_t psi_t|
+    and the remainder's kernel dims k + k' >= N.
+
+    While k + k' < N the constraint stack at alpha = _PENCIL_SHIFT has a
+    null vector f, so v = |e, f> with e = (1, alpha)/norm lies in the range of
+    rho and its partner |e*, f> in the PT range.  Subtracting lambda |v><v|
+    at lambda = min(1/<v|rho^+|v>, 1/<e*, f|(rho^{T_A})^+|e*, f>) keeps rho
+    and rho^{T_A} positive and drops the rank of one of them (Kraus, Cirac,
+    Karnas & Lewenstein 2000), so at most N subtractions reach k + k' >= N.
+    Row t of phis is sqrt(lambda_t) e and of psis f_t.  The remainder is
+    validated as unnormalized; where N subtractions leave k + k' < N, the
+    ranks are not dropping: DegenerateSystem.
+    """
+    n, alpha = rho.dim_b, _PENCIL_SHIFT
+    e = np.array([1.0, alpha]) / np.sqrt(1.0 + abs(alpha) ** 2)
+    phis, psis = [], []
+    while True:
+        blocks = _row_blocks(rho)
+        if blocks[0].shape[0] + blocks[2].shape[0] >= n:
+            return rho, np.array(phis).reshape(-1, 2), np.array(psis).reshape(-1, n)
+        if len(phis) == n:
+            raise DegenerateSystem(f"{n} subtractions left kernel dims below {n}")
+        f = np.linalg.svd(_stack_rows(blocks, alpha))[2][-1].conj()
+        v = np.kron(e, f)
+        lam = 1 / max(_inverse_weight(rho.spectrum, v),
+                      _inverse_weight(rho.pt_spectrum, np.kron(e.conj(), f)))
+        rho = densmat.validate_density(rho.mat - lam * np.outer(v, v.conj()), 2, n,
+                                       tol=rho.tol, unnormalized=True)
+        phis.append(np.sqrt(lam) * e)
+        psis.append(f)
 
 
 def determinant_equation_57(rho: DensityMatrix, tol: float = 1e-7) -> list[ProductVectorHit]:

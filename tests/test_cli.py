@@ -289,6 +289,98 @@ def test_near_coincident_56_state_is_certified_by_the_grid():
     assert report["solver"]["hits"] == 6
 
 
+def _ppt_boundary_mixtures():
+    """random_density(2, 3, r), r = 2..6, mixed with I/6 to its PPT
+    boundary (weight s* of the state, where the least PT eigenvalue
+    vanishes) and to 0.9 s*, inside the PPT set."""
+    for r in range(2, 7):
+        rho = states.random_density(2, 3, r, seed=0)
+        least = np.linalg.eigvalsh(densmat.partial_transpose(rho))[0]
+        boundary = (1 / 6) / (1 / 6 - least)
+        for weight in (boundary, 0.9 * boundary):
+            yield (f"random_density(2, 3, {r}) at {weight / boundary:.1f} s*",
+                   densmat.validate_density(weight * rho.mat + (1 - weight) * np.eye(6) / 6,
+                                            2, 3))
+
+
+def test_product_subtraction_certifies_every_ppt_2x3_state_without_a_descent(monkeypatch):
+    """On 2x3 PPT is separability: separable mixtures of 5 to 10 terms and
+    PPT mixtures with the maximally mixed state, on the boundary and inside
+    it, are all certified by subtracting at most three product projectors
+    down to an exactly decided remainder, with no descent."""
+    def boom(*args, **kwargs):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(twoxn, "solve_extension_general", boom)
+    cases = [(f"random_separable(2, 3, {k}, seed={seed})",
+              states.random_separable(2, 3, k, seed=seed)[0])
+             for k in range(5, 11) for seed in range(5)]
+    for name, rho in cases + list(_ppt_boundary_mixtures()):
+        report = cli.analyze_state(rho)
+        assert report["verdict"] == "separable_certified", name
+        assert report["solver"]["method"] == "product_subtraction", name
+        assert 1 <= report["solver"]["subtractions"] <= 3, name
+        assert report["residuals"]["certificate"] <= 1e-12, name
+        cert = sep.certificate_from_json_dict(report["certificate"])
+        assert sep.verify_certificate(cert, rho, tol=1e-12).passed, name
+
+
+def test_product_subtraction_report_is_byte_identical_in_process_and_cli(tmp_path, capsys):
+    rho = states.random_separable(2, 3, 7, seed=3)[0]
+    path = write_state(tmp_path, "s.json", rho)
+    code, out, _ = run_cli(capsys, "analyze", path)
+    assert code == 0
+    report = json.loads(out)
+    in_process = cli.analyze_state(densmat.state_from_json_dict(json.loads(Path(path).read_text())))
+    in_process["input"] = report["input"]
+    assert out == json.dumps(in_process, sort_keys=True, indent=2, default=float) + "\n"
+    solver = report["solver"]
+    assert solver["method"] == "product_subtraction"
+    assert solver["remainder"]["method"] == "product_vector_cone"
+    assert report["terms"] == solver["subtractions"] + solver["remainder"]["hits"]
+
+
+def test_entangled_ppt_2x4_state_never_enters_the_subtraction(monkeypatch):
+    """horodecki97(0.5) with 1% of I/8 is PPT, entangled and of full rank:
+    the subtraction is for 2x3 only, so it stays undecided after the descent."""
+    from gramsep import provec
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the subtraction ran")
+
+    monkeypatch.setattr(provec, "subtract_product_projectors", boom)
+    rho = densmat.validate_density(0.99 * states.horodecki97(0.5).mat + 0.01 * np.eye(8) / 8,
+                                   2, 4)
+    report = cli.analyze_state(rho)
+    assert report["case"] == "(8,8)" and report["ppt"]
+    assert report["verdict"] == "ppt_undecided"
+    assert report["solver"]["method"] == "multistart_lm"
+
+
+def test_failed_remainder_falls_back_to_the_descent(monkeypatch):
+    """A remainder whose exact branch fails (here the cone fit raising)
+    leaves the input to the descent, with the report it had before."""
+    from gramsep import provec
+
+    def degenerate(*args, **kwargs):
+        raise provec.DegenerateSystem("forced")
+
+    monkeypatch.setattr(provec, "fit_product_cone", degenerate)
+    report = cli.analyze_state(states.random_separable(2, 3, 8, seed=0)[0])
+    assert report["case"] == "(6,6)" and report["verdict"] == "separable_certified"
+    assert report["solver"]["method"] == "multistart_lm"
+    assert set(report["solver"]) == {"method", "normality_residual", "equation_residual",
+                                     "accepted", "starts", "nfev"}
+
+
+def test_werner_keeps_the_descent():
+    """2x2 states keep the descent, which certifies werner(0.2) in four terms."""
+    report = cli.analyze_state(states.werner(0.2))
+    assert report["verdict"] == "separable_certified"
+    assert report["solver"]["method"] == "multistart_lm"
+    assert report["terms"] <= 4
+
+
 def test_tol_before_or_after_subcommand(tmp_path, capsys):
     path = write_state(tmp_path, "w.json", states.werner(0.2))
     for argv in (("--tol", "1e-3", "analyze", path), ("analyze", path, "--tol", "1e-3")):
@@ -551,7 +643,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         "import sys",
         "import fixtures",
         "from gramsep import cli, states",
-        "general = cli.analyze_state(states.random_separable(2, 3, 5, seed=1)[0])",
+        "general = cli.analyze_state(states.random_separable(2, 5, 7, seed=1)[0])",
         "grid = cli.analyze_state(fixtures.separable_56(1, gap=1e-5)[0])",
         "print(general['solver']['method'], grid['solver']['method'])",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",

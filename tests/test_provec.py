@@ -599,3 +599,18 @@ def test_edge_state_test_on_full_rank_state():
     assert ev.hits == (ev.witness,)
     assert ev.witness.residual_range == ev.witness.residual_pt_range == 0.0
     assert abs(np.linalg.norm(ev.witness.f) - 1) < 1e-12
+
+
+def test_subtracted_product_projectors_leave_a_ppt_remainder_of_kernel_dims_n():
+    """Each subtraction keeps rho and rho^{T_A} positive and drops the rank
+    of one of them, so a full-rank 2x3 state takes at most three."""
+    rho = states.random_separable(2, 3, 8, seed=0)[0]
+    remainder, phis, psis = provec.subtract_product_projectors(rho)
+    assert 1 <= len(phis) == len(psis) <= 3 and remainder.unnormalized
+    k, kp = (6 - r for r in densmat.rank_pattern(remainder))
+    assert k + kp >= 3 and densmat.is_ppt(remainder)[0]
+    terms = [np.kron(a, b) for a, b in zip(phis, psis)]
+    rebuilt = remainder.mat + sum(np.outer(v, v.conj()) for v in terms)
+    assert np.abs(rebuilt - rho.mat).max() <= 1e-14
+    same = provec.subtract_product_projectors(remainder)
+    assert same[0] is remainder and same[1].shape == (0, 2) and same[2].shape == (0, 3)
