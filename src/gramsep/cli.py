@@ -7,10 +7,13 @@ heuristic search yields ``ppt_undecided`` rather than an entanglement verdict.
 
 After the exact rank-N, self-transpose and (N+1, N+1) paths, a PPT 2xN
 state on which the product-vector search is complete is decomposed over its
-hits first (``solver.method`` "product_vector_cone"): every term of a
-product decomposition is a hit, so a fit over them certifies a separable
-state, and no hit at all rules one out.  A failed fit, dependent hit
-projectors or a continuum of hits hand the state to the solvers unchanged.
+hits first (``solver.method`` "product_vector_cone").  A fit over them
+certifies a separable state.  Where the search is isolated (no hit can
+have been lost to rounding), every term of a product decomposition is a
+hit, so no hit, or independent hit projectors that do not fit rho, rule
+one out: ``ppt_undecided`` without a solver.  A failed fit of a search
+that is not isolated, dependent hit projectors or a continuum of hits hand
+the state to the solvers unchanged.
 
 A PPT 2x3 state that would reach the descent (kernel dims k + k' < 3) has
 product projectors subtracted down to a remainder of k + k' >= 3, which
@@ -116,24 +119,25 @@ def _kernel_dims(rho: DensityMatrix) -> tuple[int, int]:
 
 
 def _product_vector_cone(rho: DensityMatrix):
-    """(hits, fit) where the product-vector search of rho is complete, that
-    is for kernel dims k + k' = N or k = N - 1 < k + k'; fit is
+    """(search, fit) where the product-vector search of rho can be complete,
+    that is for kernel dims k + k' = N or k = N - 1 < k + k': search is
+    provec.search_product_vectors's (hits, isolated), and fit
     provec.fit_product_cone's (phis, psis, residual), or None where there
-    are no hits or their projectors are dependent.  None where the search
-    is incomplete or finds a continuum."""
+    are no hits or their projectors are dependent.  None for other kernel
+    dims and where the search finds a continuum."""
     n = rho.dim_b
     k, kp = _kernel_dims(rho)
     if not (k + kp == n or k == n - 1 < k + kp):
         return None
     from . import provec  # loaded only by the paths that search or subtract product vectors
     try:
-        hits = provec.find_product_vectors(rho)
+        search = provec.search_product_vectors(rho)
     except provec.DegenerateSystem:
         return None
     try:
-        return hits, provec.fit_product_cone(rho, hits) if hits else None
+        return search, provec.fit_product_cone(rho, search.hits) if search.hits else None
     except provec.DegenerateSystem:
-        return hits, None
+        return search, None
 
 
 def _product_subtraction(used: DensityMatrix, post, rho: DensityMatrix, cert_tol: float):
@@ -189,7 +193,7 @@ def _decompose(rho: DensityMatrix, report: dict, timings: dict, cert_tol: float,
         return None, (VERDICT_UNDECIDED, "PPT is marginal; canonical gap not factorable")
 
     rejection = None  # (verdict, note) reported when the solver accepts nothing
-    search = None  # (hits, fit) of _product_vector_cone, where it ran
+    search = None  # ((hits, isolated), fit) of _product_vector_cone, where it ran
     if ep.q == 0:
         sol = twoxn.rank_n_test(cf)
         rejection = (VERDICT_UNDECIDED, f"rank-N commutator residual "
@@ -217,19 +221,29 @@ def _decompose(rho: DensityMatrix, report: dict, timings: dict, cert_tol: float,
     else:
         search = _product_vector_cone(used)
         if search is not None:
-            hits, fit = search
+            (hits, isolated), fit = search
             report["solver"] = {"method": "product_vector_cone", "hits": len(hits)}
-            if not hits:
-                timings["solver"] = time.perf_counter() - t0
-                return None, (VERDICT_UNDECIDED,
-                              "the complete product-vector search finds no product vector in "
-                              "the range with its partner in the PT range; entangled_range is "
-                              "not reported on this path")
             if fit is not None:
                 report["solver"]["fit_residual"] = fit[2]
                 if fit[2] <= cert_tol:
                     timings["solver"] = time.perf_counter() - t0
                     return post(sep.SeparableDecomposition(2, used.dim_b, *fit[:2])), None
+            # an isolated search lost no hit, so every term of a product
+            # decomposition is a hit: with none, or with independent hit
+            # projectors that do not fit rho, there is no decomposition to find
+            if isolated and not hits:
+                timings["solver"] = time.perf_counter() - t0
+                return None, (VERDICT_UNDECIDED,
+                              "the complete product-vector search finds no product vector in "
+                              "the range with its partner in the PT range; entangled_range is "
+                              "not reported on this path")
+            if isolated and fit is not None:
+                timings["solver"] = time.perf_counter() - t0
+                return None, (VERDICT_UNDECIDED,
+                              f"the complete, isolated product-vector search finds {len(hits)} "
+                              f"product vectors, whose independent projectors fit rho only to "
+                              f"{fit[2]:.3e}; no other product vector can enter a decomposition, "
+                              "so no solver runs; entangled_range is not reported on this path")
         if exact_only:
             return None, None
         if cf.n == 4 and (ep.p, ep.p_tilde) == (1, 2):
@@ -249,7 +263,7 @@ def _decompose(rho: DensityMatrix, report: dict, timings: dict, cert_tol: float,
                          f"best completion residual {sol.normality_residual:.3e}")
     report["solver"] = _solver_dict(sol)
     if search is not None:
-        report["solver"]["hits"] = len(search[0])
+        report["solver"]["hits"] = len(search[0].hits)
     timings["solver"] = time.perf_counter() - t0
     if rejection is not None and not sol.accepted:
         return None, rejection

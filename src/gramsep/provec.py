@@ -10,17 +10,20 @@ deficient.  By the kernel dimensions (k, k') of a 2xN state:
 * k + k' < N: every alpha works, a continuum (DegenerateSystem).
 * k + k' = N: one determinant D(alpha, conj alpha) = 0.  Every isolated
   root is a root of the resultant of D and its conjugate, of degree at most
-  k^2 + k'^2, whose roots seed a Newton polish; the enumeration is complete
-  for every k', and more than k^2 + k'^2 validated hits raise
-  DegenerateSystem.
+  k^2 + k'^2, whose roots seed a Newton polish, for every k'; more than
+  k^2 + k'^2 validated hits raise DegenerateSystem.
 * k = N - 1 < k + k': two fixed real combinations of the k' rows each make
   a determinant with the k rows; the roots of a 2k-size pencil of the pair
   (the enumeration above where it is degenerate) seed the polish, and
   validation against the full stack keeps the hits, at most 2k.
 
-In both complete cases every term |e, f> of a product decomposition of rho
-is a hit, so rho is separable iff it is a nonnegative combination of the
-hit projectors: fit_product_cone fits it by one real least-squares solve.
+In both cases the seeds contain every product vector of rho's kind in
+exact arithmetic.  In floating point two nearly coinciding A vectors can
+lose one, so search_product_vectors says whether the search is isolated:
+far from every such degeneracy.  Where it is, every term |e, f> of a product
+decomposition of rho is a hit, so rho is separable iff it is a nonnegative
+combination of the hit projectors: fit_product_cone fits it by one real
+least-squares solve.
 Where k + k' < N, subtract_product_projectors removes product projectors
 at one fixed alpha until k + k' >= N, keeping rho and rho^{T_A} positive.
 """
@@ -74,11 +77,26 @@ def _stack_rows(blocks, alpha):
     return np.vstack([psi0 + alpha * psi1, phi0 + np.conj(alpha) * phi1])
 
 
+class _Margined(list):
+    """A list with ``margin``, how far the computation behind it stays from
+    a degenerate case: the peak of |det S| over its scale for candidates,
+    the gray-zone and null-space gaps for validated hits."""
+
+    def __init__(self, items, margin: float):
+        super().__init__(items)
+        self.margin = margin
+
+
 def _validate_candidates(blocks, candidates, tol):
     """Hits among the (alpha, at_infinity) candidates.  One batched SVD of the
     constraint stacks gives each candidate's f, the direction the stack
     annihilates best; a candidate is a hit when every kernel row of the
-    stack annihilates it to ``tol``.  An empty stack admits every f."""
+    stack annihilates it to ``tol``.  An empty stack admits every f.
+
+    The margin is the smaller of the least residual of a rejected candidate
+    and the least second-smallest singular value of a hit's stack (of its N,
+    a missing row counting as 0): it is small where a candidate sits just
+    above ``tol`` or a hit has a nearly 2-dim space of f."""
     psi0, psi1, phi0, phi1 = blocks
     e = np.array([(0.0, 1.0) if at_inf else (1.0, alpha) for alpha, at_inf in candidates],
                  dtype=complex)
@@ -86,13 +104,18 @@ def _validate_candidates(blocks, candidates, tol):
     e0, e1 = e[:, 0, None, None], e[:, 1, None, None]
     rows = e0 * psi0 + e1 * psi1                            # m x k x N
     rows_pt = e0.conj() * phi0 + e1.conj() * phi1           # m x k' x N
-    f = np.linalg.svd(np.concatenate([rows, rows_pt], axis=1))[2][:, -1].conj()
+    _, svals, vh = np.linalg.svd(np.concatenate([rows, rows_pt], axis=1))
+    f = vh[:, -1].conj()
     res = np.abs(rows @ f[:, :, None])[..., 0].max(axis=1, initial=0.0)
     res_pt = np.abs(rows_pt @ f[:, :, None])[..., 0].max(axis=1, initial=0.0)
-    return [ProductVectorHit(complex(np.inf) if at_inf else complex(alpha), at_inf,
-                             e[i], f[i], float(res[i]), float(res_pt[i]))
-            for i, (alpha, at_inf) in enumerate(candidates)
-            if max(res[i], res_pt[i]) <= tol]
+    worst = np.maximum(res, res_pt)
+    hit = worst <= tol
+    n = psi0.shape[1]
+    second = svals[:, n - 2] if svals.shape[1] >= n - 1 else np.zeros(len(svals))
+    margin = np.where(hit, second, worst).min()
+    return _Margined([ProductVectorHit(complex(np.inf) if at_inf else complex(alpha), at_inf,
+                                       e[i], f[i], float(res[i]), float(res_pt[i]))
+                      for i, (alpha, at_inf) in enumerate(candidates) if hit[i]], margin)
 
 
 # Shift of _pencil_eigenvalues and the A-side alpha of
@@ -161,8 +184,20 @@ def _sorted_hits(hits):
     return finite + inf
 
 
-def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductVectorHit]:
-    """Product vectors |e, f> in the range of rho with |e*, f> in the PT range.
+class ProductVectorSearch(NamedTuple):
+    hits: list              # ProductVectorHit, sorted by |alpha|, infinity last
+    isolated: bool          # every product vector of rho's kind is among the hits
+
+
+# Below this, a margin of the search (the peak of |det S| over its scale,
+# a rejected candidate's residual, the second-smallest singular value of a
+# hit's stack) leaves it open whether a hit was lost to rounding
+_ISOLATION_MARGIN = 1e-3
+
+
+def search_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> ProductVectorSearch:
+    """Product vectors |e, f> in the range of rho with |e*, f> in the PT range,
+    and whether the search provably found all of them.
 
     Dispatch on the kernel dimensions (k, k'): k + k' < N is a continuum
     (reported via DegenerateSystem).  k + k' = N is a single determinant
@@ -170,10 +205,27 @@ def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductV
     k = N - 1 a pencil of size 2k, built from two fixed real combinations of
     the k' PT rows, seeds the search, and validation against all k + k' rows
     keeps the hits.
+
+    The seeds contain every product vector of rho's kind in exact
+    arithmetic, but rounding can lose one: two A vectors nearly coinciding
+    make det S nearly vanish, scatter the pencil's eigenvalues, or leave a
+    hit polished just short of ``tol``.  ``isolated`` is set where none of
+    this can have happened: det S (the pencil's, or the resultant) is far
+    from vanishing, no candidate's residual lies between ``tol`` and
+    _ISOLATION_MARGIN, and every hit's f is the only null direction of its
+    stack by more than that margin.  Only then is the hit list complete.
     """
     if rho.dim_a != 2:
         raise InputError(f"product-vector search needs dim_a = 2, got {rho.dim_a}")
-    return _search(_row_blocks(rho), tol)
+    hits = _search(_row_blocks(rho), tol)
+    return ProductVectorSearch(list(hits), hits.margin > _ISOLATION_MARGIN)
+
+
+def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductVectorHit]:
+    """The hits of search_product_vectors: product vectors |e, f> in the
+    range of rho with |e*, f> in the PT range.  Complete only where that
+    search is isolated."""
+    return search_product_vectors(rho, tol).hits
 
 
 _PT_ROW_WEIGHTS_SEED = 1997
@@ -198,7 +250,9 @@ def _pt_row_weights(kp: int) -> np.ndarray:
 
 def _search(blocks, tol):
     """Candidates for the kernel dimensions of ``blocks`` (a resultant, or for
-    k = N - 1 a 2k-size pencil), validated, deduped and held to their degree bound."""
+    k = N - 1 a 2k-size pencil), validated, deduped and held to their degree
+    bound.  The hits' margin is the least of the candidates' and the
+    validation's; a plain list from either (no margin stated) makes it 0."""
     psi0, psi1, phi0, phi1 = blocks
     (k, n), kp = psi0.shape, phi0.shape[0]
 
@@ -214,9 +268,11 @@ def _search(blocks, tol):
         raise UnsupportedRankPattern(
             f"kernel dims ({k},{kp}) on 2x{n} are outside the implemented cases")
 
+    checked = _validate_candidates(blocks, candidates, tol)
+    margin = min(getattr(candidates, "margin", 0.0), getattr(checked, "margin", 0.0))
     # collapse duplicates after validation
     unique = []
-    for h in _sorted_hits(_validate_candidates(blocks, candidates, tol)):
+    for h in _sorted_hits(checked):
         if h.at_infinity:
             dup = any(u.at_infinity for u in unique)
         else:
@@ -229,7 +285,7 @@ def _search(blocks, tol):
         raise DegenerateSystem(
             f"{len(unique)} isolated-looking solutions exceed the degree bound {cap}; "
             "the solution set is a continuum", continuum=True)
-    return unique
+    return _Margined(unique, margin)
 
 
 def _det_case_candidates(blocks, k, kp):
@@ -244,9 +300,11 @@ def _det_case_candidates(blocks, k, kp):
     of the companion pencil of S(alpha), which stay accurate where the roots
     of R's coefficients do not (clustered roots, roots far outside the unit
     circle).  They seed the polish of _polished_roots, and the polished roots
-    where |D| is small are returned.  The seeds contain every isolated
-    self-consistent root, for every k', so the enumeration is complete; the
-    alpha = infinity chart is added as one more candidate.  D vanishing
+    where |D| is small are returned.  In exact arithmetic the seeds contain
+    every isolated self-consistent root, for every k'; in floating point a
+    root can be lost where R nearly vanishes, so the candidates' margin is
+    the peak of |R|'s coefficients over scale^(da + dz).  The alpha =
+    infinity chart is added as one more candidate.  D vanishing
     identically (every coefficient below 1e-12 of the Hadamard bound of its
     rows, so zero up to rounding) means every alpha is a root, and R vanishing
     identically (tested on its interpolant at da^2 + dz^2 + 1 roots of unity)
@@ -277,12 +335,13 @@ def _det_case_candidates(blocks, k, kp):
     xs = np.exp(2j * np.pi * np.arange(m) / m)
     nodes = np.tensordot(xs[:, None] ** np.arange(len(sylvester)), sylvester, 1)
     res = np.fft.fft(np.linalg.det(nodes)) / m
-    if np.abs(res).max() <= 1e-9 * scale[0] ** (da + dz):
+    ratio = np.abs(res).max() / scale[0] ** (da + dz)
+    if ratio <= 1e-9:
         raise DegenerateSystem(
             "the resultant of the determinant and its conjugate vanishes "
             "identically: the self-consistent roots form a curve", continuum=True)
-    return _polished_roots(coeffs, scale, _pencil_eigenvalues(sylvester, [da] * da + [dz] * dz),
-                           k + kp)
+    return _Margined(_polished_roots(coeffs, scale, _pencil_eigenvalues(
+        sylvester, [da] * da + [dz] * dz), k + kp), ratio)
 
 
 def _pencil_case_candidates(blocks, k):
@@ -293,19 +352,21 @@ def _pencil_case_candidates(blocks, k):
     the eigenvalues of the pencil of S, of size 2k, contain every hit.  Where
     a D_c vanishes identically (relative to the Hadamard bound of its rows) or
     det S does (at 2k + 1 roots of unity, relative to the scales of the D_c),
-    _det_case_candidates enumerates the first instead."""
+    _det_case_candidates enumerates the first instead, with margin 0.  Else
+    the margin is the peak of |det S| at those points over the scales."""
     w = _pt_row_weights(blocks[2].shape[0])
     folded = blocks[:2] + (w @ blocks[2], w @ blocks[3])
     pencil = _det_bipoly(*folded, k, 1).transpose(1, 0, 2)  # S(alpha) = sum alpha^i pencil[i]
     scale = np.abs(pencil).max(axis=(0, 2))
     xs = np.exp(2j * np.pi * np.arange(2 * k + 1) / (2 * k + 1))
-    det_s = np.linalg.det(np.tensordot(xs[:, None] ** np.arange(k + 1), pencil, 1))
+    peak = np.abs(np.linalg.det(np.tensordot(xs[:, None] ** np.arange(k + 1), pencil, 1))).max()
     if ((scale <= 1e-12 * _coefficient_bounds(*folded)).any()
-            or np.abs(det_s).max() <= 1e-9 * scale[0] * scale[1]):
-        return _det_case_candidates(folded, k, 1)
+            or peak <= 1e-9 * scale[0] * scale[1]):
+        return _Margined(_det_case_candidates(folded, k, 1), 0.0)
     da = np.nonzero((np.abs(pencil) > 1e-12 * scale[:, None]).any(axis=(1, 2)))[0].max()
     seeds = _pencil_eigenvalues(pencil[:da + 1], [da, da]) if da else np.zeros(0, complex)
-    return _polished_roots(pencil[:da + 1].transpose(1, 0, 2), scale, seeds, k + 1)
+    return _Margined(_polished_roots(pencil[:da + 1].transpose(1, 0, 2), scale, seeds, k + 1),
+                     peak / (scale[0] * scale[1]))
 
 
 def _polished_roots(coeffs, scale, al, degree):
@@ -362,9 +423,11 @@ def fit_product_cone(rho: DensityMatrix, hits) -> tuple[np.ndarray, np.ndarray, 
     dropped.  Row h of phis is sqrt(w_h) e_h and of psis f_h, over the kept
     hits; ``residual`` is the largest entry of |rho - sum_kept|.
 
-    Where the search is complete, every term of a product decomposition of
-    rho is a hit, so rho separable means this fit is exact.  Linearly
-    dependent projectors leave the weights undetermined: DegenerateSystem.
+    Where search_product_vectors is isolated, every term of a product
+    decomposition of rho is a hit, so rho separable means this fit is
+    exact; elsewhere a hit may be missing, and a failed fit proves nothing.
+    Linearly dependent projectors leave the weights undetermined:
+    DegenerateSystem.
     """
     vecs = np.array([h.product_vector() for h in hits])
     projectors = vecs[:, :, None] * vecs[:, None, :].conj()              # H x 2N x 2N
@@ -452,9 +515,9 @@ def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
     """Edge iff no product vector sits in the range with its conjugate partner
     in the PT range.  Only meaningful for PPT states.
 
-    find_product_vectors enumerates every isolated hit in the determinant
-    case k + k' = N (for every k') and in the case k = N - 1 < k + k', so
-    there 'edge' and 'not_edge' are exact.  A
+    find_product_vectors searches the determinant case k + k' = N (for
+    every k') and the case k = N - 1 < k + k'; there 'not_edge' is exact,
+    and 'edge' is exact where search_product_vectors is isolated.  A
     continuum of hits is 'not_edge' once one witness is found (any f when
     there are no kernel constraints at all), else 'unknown'; other kernel
     dimensions are 'unknown'."""

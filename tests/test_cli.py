@@ -198,21 +198,22 @@ def test_analyze_56_byte_identical_in_process():
         assert first == second
 
 
-def test_analyze_survives_a_long_descent_with_vanishing_damping():
+def test_grid_survives_a_long_descent_with_vanishing_damping():
     """A (5,6) Horodecki range mixture, built from ``bench/inputs.py``
     (``ppt-2x4`` seed 1202, ``range-mix#9``).  From the scan's best cell the
     descent heads for a nonzero minimum, and the stall stop ends it within
-    a few dozen evaluations, once |f|^2 has all but stopped falling; the
-    state stays undecided.  Without the stall stop it would run to the
-    4,000-evaluation cap on the damping floor, which
-    ``test_twoxn.py::test_descend_survives_a_vanishing_damping`` covers."""
+    a few dozen evaluations, once |f|^2 has all but stopped falling.
+    Without the stall stop it would run to the 4,000-evaluation cap on the
+    damping floor, which
+    ``test_twoxn.py::test_descend_survives_a_vanishing_damping`` covers.
+    ``analyze`` no longer reaches the grid on this state, so the grid is
+    called directly."""
     path = Path(__file__).with_name("range_mix_1202_9.json")
     rho = densmat.state_from_json_dict(json.loads(path.read_text()))
-    report = cli.analyze_state(rho)
-    assert report["verdict"] == "ppt_undecided"
-    assert report["case"] == "(5,6)"
-    assert np.isfinite(report["solver"]["normality_residual"])
-    assert report["solver"]["nfev"] <= 100
+    sol = twoxn.solve_extension_56(twoxn.known_part(twoxn.canonical_form(rho)))
+    assert not sol.accepted
+    assert np.isfinite(sol.normality_residual)
+    assert sol.mixing["nfev"] <= 100
 
 
 SOLVER_MISSES = ["sep56_7_0.json", "sep56_2014_2.json", "sep56_2019_5.json",
@@ -247,15 +248,16 @@ def test_product_vector_cone_certifies_every_random_246_mixture():
         assert report["solver"]["method"] == "product_vector_cone", seed
 
 
-def test_range_mixture_falls_back_to_the_grid_with_its_hit_count():
-    """The range mixture of ``range_mix_1202_9.json`` has one hit, which
-    does not fit it: the grid runs as before and the report adds the count."""
+def test_range_mixture_with_an_isolated_unfitting_hit_runs_no_solver():
+    """The range mixture of ``range_mix_1202_9.json`` has one hit, isolated,
+    which does not fit it: no product decomposition exists, so it stays
+    undecided without a solver, and the report gives the count and the fit."""
     path = Path(__file__).with_name("range_mix_1202_9.json")
     report = cli.analyze_state(densmat.state_from_json_dict(json.loads(path.read_text())))
-    assert report["verdict"] == "ppt_undecided"
-    assert report["solver"]["method"] == "alpha_beta_grid"
-    assert report["solver"]["hits"] == 1 and report["solver"]["nfev"] <= 100
-    assert "fit_residual" not in report["solver"]
+    assert report["case"] == "(5,6)" and report["verdict"] == "ppt_undecided"
+    assert set(report["solver"]) == {"method", "hits", "fit_residual"}
+    assert report["solver"]["method"] == "product_vector_cone"
+    assert report["solver"]["hits"] == 1 and report["solver"]["fit_residual"] > 1e-8
 
 
 def test_edge_56_state_without_hits_runs_no_solver(monkeypatch):
@@ -269,6 +271,76 @@ def test_edge_56_state_without_hits_runs_no_solver(monkeypatch):
     report = cli.analyze_state(fixtures.ppt56_state(0))
     assert report["case"] == "(5,6)" and report["verdict"] == "ppt_undecided"
     assert report["solver"] == {"method": "product_vector_cone", "hits": 0}
+
+
+def _unfitting_isolated_hit_sets():
+    """(name, state): PPT (5,6) and (6,6) states whose isolated hits are
+    independent and do not fit them."""
+    path = Path(__file__).with_name("range_mix_1202_9.json")
+    yield path.name, densmat.state_from_json_dict(json.loads(path.read_text()))
+    for b in (0.2, 0.5, 0.8):
+        for seed in range(3):
+            yield f"horodecki_range_mixture({b}, {seed})", fixtures.horodecki_range_mixture(b, seed)[0]
+    yield "ppt66_state(0)", fixtures.ppt66_state(0)
+
+
+def test_isolated_hits_that_do_not_fit_run_no_solver(monkeypatch):
+    """Where the search is isolated, every term of a product decomposition
+    is a hit; independent hit projectors that do not fit rho leave none, so
+    the state stays undecided (never entangled_*) and no solver runs."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a completion solver ran")
+
+    monkeypatch.setattr(twoxn, "solve_extension_56", boom)
+    monkeypatch.setattr(twoxn, "solve_extension_general", boom)
+    for name, rho in _unfitting_isolated_hit_sets():
+        report = cli.analyze_state(rho)
+        assert report["verdict"] == "ppt_undecided", name
+        assert set(report["solver"]) == {"method", "hits", "fit_residual"}, name
+        assert report["solver"]["method"] == "product_vector_cone", name
+        assert report["solver"]["hits"] >= 1 and report["solver"]["fit_residual"] > 1e-8, name
+        assert "no solver runs" in report["note"], name
+
+
+@pytest.mark.parametrize("state, hits", [("ppt56_state", 0), ("range_mix", 1)])
+def test_search_that_is_not_isolated_hands_the_state_to_the_grid(monkeypatch, state, hits):
+    """The same searches, taken as not isolated, prove nothing: the grid runs
+    on the edge state without hits and on the range mixture with its one hit."""
+    from gramsep import provec
+
+    if state == "ppt56_state":
+        rho = fixtures.ppt56_state(0)
+    else:
+        rho = next(_unfitting_isolated_hit_sets())[1]
+    found = provec.search_product_vectors(rho)
+    assert found.isolated and len(found.hits) == hits
+    monkeypatch.setattr(provec, "search_product_vectors",
+                        lambda rho: provec.ProductVectorSearch(found.hits, False))
+    report = cli.analyze_state(rho)
+    assert report["verdict"] == "ppt_undecided"
+    assert report["solver"]["method"] == "alpha_beta_grid"
+    assert report["solver"]["hits"] == hits and "fit_residual" not in report["solver"]
+
+
+NEAR_COINCIDENT = [("separable_56", 12, 1e-5, "alpha_beta_grid"),
+                   ("separable_56", 4, 1e-4, "alpha_beta_grid"),
+                   ("separable_56", 3, 1e-5, "alpha_beta_grid"),
+                   ("separable_66", 0, 0.0, "multistart_lm"),
+                   ("separable_66", 8, 1e-3, "multistart_lm")]
+
+
+@pytest.mark.parametrize("maker, seed, gap, method", NEAR_COINCIDENT)
+def test_near_coincident_a_vectors_are_not_isolated_and_still_certified(maker, seed, gap, method):
+    """Two A vectors close together or shared: the search can lose hits to
+    rounding, or report one f of a 2-dim f space, so it is not isolated,
+    its failed fit proves nothing, and the grid or the descent certifies."""
+    from gramsep import provec
+
+    rho = getattr(fixtures, maker)(seed, gap)[0]
+    assert not provec.search_product_vectors(rho).isolated
+    report = cli.analyze_state(rho)
+    assert report["verdict"] == "separable_certified"
+    assert report["solver"]["method"] == method
 
 
 def test_shared_a_vector_66_state_is_certified_by_the_solver():

@@ -51,6 +51,41 @@ def test_cone_fit_raises_on_dependent_projectors():
         fit_product_cone(rho, hits + hits[:1])
 
 
+def _planted_found(rho, sd, hits):
+    """How many of the generators of sd are hits (overlap at least 1 - 1e-6)."""
+    return sum(max((overlap(h.product_vector(), np.kron(phi, psi)) for h in hits), default=0.0)
+               > 1 - 1e-6 for phi, psi in zip(sd.phis, sd.psis))
+
+
+def test_search_is_isolated_where_no_hit_can_be_lost():
+    """Well-separated A vectors: the search is isolated, finds every planted
+    vector, and find_product_vectors returns its hits; so does an edge
+    state, with none, and a range mixture, with its one."""
+    for seed in range(5):
+        rho, sd = fixtures.separable_56(seed)
+        found = provec.search_product_vectors(rho)
+        assert found.isolated and _planted_found(rho, sd, found.hits) == 6, seed
+        assert [h.alpha for h in found.hits] == [h.alpha for h in find_product_vectors(rho)]
+    assert provec.search_product_vectors(fixtures.ppt56_state(0)) == ([], True)
+    for b in (0.2, 0.5, 0.8):
+        found = provec.search_product_vectors(fixtures.horodecki_range_mixture(b, 0)[0])
+        assert found.isolated and len(found.hits) == 1, b
+
+
+@pytest.mark.parametrize("seed, gap, count", [(12, 1e-5, 1), (4, 1e-4, 4), (12, 1e-4, 4)])
+def test_near_coincident_a_vectors_lose_hits_and_are_not_isolated(seed, gap, count):
+    """Two of six A vectors ``gap`` apart: every planted vector validates at
+    1e-14, yet the search finds only ``count`` of them (det S nearly
+    vanishes, or the near pair polishes short of ``tol``), so it must not
+    count as isolated."""
+    rho, sd = fixtures.separable_56(seed, gap)
+    planted = [(phi[1] / phi[0], False) for phi in sd.phis]
+    assert len(provec._validate_candidates(provec._row_blocks(rho), planted, 1e-14)) == 6
+    found = provec.search_product_vectors(rho)
+    assert _planted_found(rho, sd, found.hits) == count
+    assert not found.isolated
+
+
 def test_55_recovers_generators():
     for seed in (42, 7, 19):
         rho, sd = states.random_separable(2, 4, 5, seed=seed)
