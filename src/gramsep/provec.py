@@ -8,16 +8,16 @@ conj(alpha) (from ker rho^{T_A}); a nonzero f exists iff the stack is rank
 deficient.  By the kernel dimensions (k, k') of a 2xN state:
 
 * k + k' < N: every alpha works, a continuum (DegenerateSystem).
-* k + k' = N: one determinant D(alpha, conj alpha) = 0.  Every isolated
-  root is a root of the resultant of D and its conjugate, of degree at most
-  k^2 + k'^2, whose roots seed a Newton polish, for every k'; more than
-  k^2 + k'^2 validated hits raise DegenerateSystem.
+* k + k' = N: one determinant D(alpha, conj alpha) = 0, paired with its
+  conjugate; more than k^2 + k'^2 validated hits raise DegenerateSystem.
 * k = N - 1 < k + k': two fixed real combinations of the k' rows each make
-  a determinant with the k rows; the roots of a 2k-size pencil of the pair
-  (the enumeration above where it is degenerate) seed the polish, and
-  validation against the full stack keeps the hits, at most 2k.
+  a determinant with the k rows, and the two form the pair (the first and
+  its conjugate where they are degenerate); validation against the full
+  stack keeps the hits, at most 2k.
 
-In both cases the seeds contain every product vector of rho's kind in
+One enumeration serves both cases: the roots of the determinant of the
+pair's Sylvester matrix in z = conj(alpha), from a companion pencil, seed a
+Newton polish.  The seeds contain every product vector of rho's kind in
 exact arithmetic.  In floating point two nearly coinciding A vectors can
 lose one, so search_product_vectors says whether the search is isolated:
 far from every such degeneracy.  Where it is, every term |e, f> of a product
@@ -79,7 +79,7 @@ def _stack_rows(blocks, alpha):
 
 class _Margined(list):
     """A list with ``margin``, how far the computation behind it stays from
-    a degenerate case: the peak of |det S| over its scale for candidates,
+    a degenerate case: det S's peak coefficient over its scale for candidates,
     the gray-zone and null-space gaps for validated hits."""
 
     def __init__(self, items, margin: float):
@@ -151,13 +151,22 @@ def _pencil_eigenvalues(coeffs: np.ndarray, degrees) -> np.ndarray:
     return alpha[np.abs(alpha) < 1e8]
 
 
+@functools.lru_cache(maxsize=None)
+def _unity_powers(m: int) -> np.ndarray:
+    """x^j for the m-th roots of unity x (rows) and j <= m: interpolation
+    nodes and, conjugated over m, the inverse DFT; column 1 holds the x."""
+    xs = np.exp(2j * np.pi * np.arange(m) / m)
+    powers = xs[:, None] ** np.arange(m + 1)
+    powers.setflags(write=False)
+    return powers
+
+
 def _det_bipoly(rows_a0, rows_a1, rows_b0, rows_b1, deg_a, deg_b):
     """Coefficients c[..., i, j] of det([A0 + x A1; B0 + y B1]) = sum c_ij x^i y^j,
     recovered by evaluation on roots-of-unity grids and inverse DFT.  Leading
     axes of B0 and B1 (stacked alternatives for the B rows) carry over to c."""
     na, nb = deg_a + 1, deg_b + 1
-    xs = np.exp(2j * np.pi * np.arange(na) / na)
-    ys = np.exp(2j * np.pi * np.arange(nb) / nb)
+    xs, ys = _unity_powers(na)[:, 1], _unity_powers(nb)[:, 1]
     top = rows_a0 + xs[:, None, None] * rows_a1                            # na x ka x N
     bottom = rows_b0[..., None, :, :] + ys[:, None, None] * rows_b1[..., None, :, :]
     grid = bottom.shape[:-3] + (na, nb)                                    # ... x na x nb
@@ -189,7 +198,7 @@ class ProductVectorSearch(NamedTuple):
     isolated: bool          # every product vector of rho's kind is among the hits
 
 
-# Below this, a margin of the search (the peak of |det S| over its scale,
+# Below this, a margin of the search (det S's peak coefficient over its scale,
 # a rejected candidate's residual, the second-smallest singular value of a
 # hit's stack) leaves it open whether a hit was lost to rounding
 _ISOLATION_MARGIN = 1e-3
@@ -200,20 +209,22 @@ def search_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> ProductVect
     and whether the search provably found all of them.
 
     Dispatch on the kernel dimensions (k, k'): k + k' < N is a continuum
-    (reported via DegenerateSystem).  k + k' = N is a single determinant
-    condition, enumerated through a resultant.  In the overdetermined case
-    k = N - 1 a pencil of size 2k, built from two fixed real combinations of
-    the k' PT rows, seeds the search, and validation against all k + k' rows
-    keeps the hits.
+    (reported via DegenerateSystem).  For k + k' = N (a single determinant
+    condition) and for the overdetermined case k = N - 1 (two fixed real
+    combinations of the k' PT rows), _candidates enumerates the roots of
+    det S, S the Sylvester matrix of a pair of determinants, and validation
+    against all k + k' rows keeps the hits.
 
     The seeds contain every product vector of rho's kind in exact
     arithmetic, but rounding can lose one: two A vectors nearly coinciding
     make det S nearly vanish, scatter the pencil's eigenvalues, or leave a
     hit polished just short of ``tol``.  ``isolated`` is set where none of
-    this can have happened: det S (the pencil's, or the resultant) is far
-    from vanishing, no candidate's residual lies between ``tol`` and
-    _ISOLATION_MARGIN, and every hit's f is the only null direction of its
-    stack by more than that margin.  Only then is the hit list complete.
+    this can have happened: det S's largest coefficient over its rows'
+    scales exceeds _ISOLATION_MARGIN (in both cases; a fallback to the
+    first determinant and its conjugate counts as 0), no candidate's
+    residual lies between ``tol`` and that margin, and every hit's f is the
+    only null direction of its stack by more than that margin.  Only then is
+    the hit list complete.
     """
     if rho.dim_a != 2:
         raise InputError(f"product-vector search needs dim_a = 2, got {rho.dim_a}")
@@ -249,10 +260,10 @@ def _pt_row_weights(kp: int) -> np.ndarray:
 
 
 def _search(blocks, tol):
-    """Candidates for the kernel dimensions of ``blocks`` (a resultant, or for
-    k = N - 1 a 2k-size pencil), validated, deduped and held to their degree
-    bound.  The hits' margin is the least of the candidates' and the
-    validation's; a plain list from either (no margin stated) makes it 0."""
+    """Candidates for the kernel dimensions of ``blocks`` (_candidates),
+    validated, deduped and held to their degree bound.  The hits' margin is
+    the least of the candidates' and the validation's; a plain list from
+    either (no margin stated) makes it 0."""
     psi0, psi1, phi0, phi1 = blocks
     (k, n), kp = psi0.shape, phi0.shape[0]
 
@@ -260,14 +271,11 @@ def _search(blocks, tol):
         raise DegenerateSystem(
             f"kernel dims ({k},{kp}) leave a null space at every alpha", continuum=True)
 
-    if k + kp == n:
-        candidates = _det_case_candidates(blocks, k, kp)
-    elif k == n - 1:
-        candidates = _pencil_case_candidates(blocks, k)
-    else:
+    if k + kp > n and k != n - 1:
         raise UnsupportedRankPattern(
             f"kernel dims ({k},{kp}) on 2x{n} are outside the implemented cases")
 
+    candidates = _candidates(blocks, k, kp)
     checked = _validate_candidates(blocks, candidates, tol)
     margin = min(getattr(candidates, "margin", 0.0), getattr(checked, "margin", 0.0))
     # collapse duplicates after validation
@@ -288,85 +296,72 @@ def _search(blocks, tol):
     return _Margined(unique, margin)
 
 
-def _det_case_candidates(blocks, k, kp):
-    """k + k' = N: a single determinant condition D(alpha, conj alpha) = 0.
+def _sylvester(p, q):
+    """S(alpha) = sum_i alpha^i S[i], the Sylvester matrix in z of
+    P(alpha, z) = sum_ij p[i, j] alpha^i z^j and Q likewise: deg_z Q shifted
+    rows of P over deg_z P rows of Q.  Also returns the alpha-degree of each row."""
+    ap, zp, aq, zq = p.shape[0] - 1, p.shape[1] - 1, q.shape[0] - 1, q.shape[1] - 1
+    s = np.zeros((max(ap, aq) + 1, zp + zq, zp + zq), dtype=complex)
+    for r in range(zq):
+        s[:ap + 1, r, r:r + zp + 1] = p
+    for r in range(zp):
+        s[:aq + 1, zq + r, r:r + zq + 1] = q
+    return s, [ap] * zq + [aq] * zp
 
-    D(alpha, z) = sum c_ij alpha^i z^j has trimmed degrees da <= k in alpha
-    and dz <= k' in z.  At a self-consistent root z = conj(alpha) both D and
-    its conjugate E(alpha, z) = sum conj(c_ij) z^i alpha^j vanish, so alpha
-    is a root of the resultant R(alpha) = Res_z(D, E) = det S(alpha), S the
-    (da+dz)-square Sylvester matrix in z, a polynomial of degree at most
-    da^2 + dz^2 (ten for the (5,7) pattern).  Its roots are the eigenvalues
-    of the companion pencil of S(alpha), which stay accurate where the roots
-    of R's coefficients do not (clustered roots, roots far outside the unit
-    circle).  They seed the polish of _polished_roots, and the polished roots
-    where |D| is small are returned.  In exact arithmetic the seeds contain
-    every isolated self-consistent root, for every k'; in floating point a
-    root can be lost where R nearly vanishes, so the candidates' margin is
-    the peak of |R|'s coefficients over scale^(da + dz).  The alpha =
-    infinity chart is added as one more candidate.  D vanishing
-    identically (every coefficient below 1e-12 of the Hadamard bound of its
-    rows, so zero up to rounding) means every alpha is a root, and R vanishing
-    identically (tested on its interpolant at da^2 + dz^2 + 1 roots of unity)
-    means D and E share a factor: either way the self-consistent roots form a
-    curve (DegenerateSystem).
 
-    The PT rows of ``blocks`` may carry a leading axis of alternatives
-    (c x k' x N), each completing a determinant that vanishes at every hit:
-    the resultant is of the first, and every one is polished.
-    """
-    coeffs = _det_bipoly(*blocks, k, kp).reshape(-1, k + 1, kp + 1)
-    scale = np.abs(coeffs).max(axis=(1, 2))
-    if scale[0] <= 1e-12 * _coefficient_bounds(*blocks)[0]:
+def _candidates(blocks, k, kp):
+    """Candidates (alpha, at_infinity) from a pair of polynomials
+    D(alpha, z) = sum c_ij alpha^i z^j that vanish at every hit with
+    z = conj(alpha): for k + k' = N the determinant D of the square
+    constraint stack and its conjugate E(alpha, z) = sum conj(c_ij) z^i
+    alpha^j; for k = N - 1 < k + k' the determinants D_1, D_2 that the k rows
+    complete with two fixed real combinations of the PT rows, linear in z.
+    Trailing coefficients below 1e-12 of every D's scale are trimmed (in z
+    only for D: the folds keep theirs, without which S could be empty).
+
+    A hit's alpha is a root of det S(alpha), S the Sylvester matrix in z of
+    the pair, of degree da^2 + dz^2 <= k^2 + k'^2 for (D, E) and 2 da <= 2k
+    for (D_1, D_2).  The eigenvalues of S's companion pencil, accurate where
+    roots of det S's coefficients are not, seed _polished_roots on every D;
+    alpha = infinity is one more candidate.  A D vanishing identically (below
+    1e-12 of the Hadamard bound of its rows) or det S doing so (its
+    coefficients, from deg + 1 roots of unity, below 1e-9 of the product of
+    its rows' scales) makes the pair degenerate: the folds fall back to
+    (D_1, E_1) with margin 0, and a degenerate (D, E) is a curve of roots
+    (DegenerateSystem).  Else the margin is that coefficient peak."""
+    psi0, psi1, phi0, phi1 = blocks
+    folded = k + kp > psi0.shape[1]
+    if folded:
+        w = _pt_row_weights(kp)
+        blocks, kp = (psi0, psi1, w @ phi0, w @ phi1), 1
+    coeffs = _det_bipoly(*blocks, k, kp).reshape(-1, k + 1, kp + 1)  # D, or D_1 and D_2
+    mag = np.abs(coeffs)
+    scale = mag.max(axis=(1, 2))
+    flat = scale <= 1e-12 * _coefficient_bounds(*blocks)
+    if flat[0]:
         raise DegenerateSystem("determinant vanishes identically", continuum=True)
-    keep = np.abs(coeffs[0]) > 1e-12 * scale[0]
-    coeffs = coeffs[:, :np.nonzero(keep.any(axis=1))[0].max() + 1,
-                    :np.nonzero(keep.any(axis=0))[0].max() + 1]
-    da, dz = coeffs.shape[1] - 1, coeffs.shape[2] - 1
-
-    # S(alpha) = sum_i alpha^i S_i, the Sylvester matrix in z of
-    # P(z) = D(alpha, z) (da shifted rows) and Q(z) = E(alpha, z) (dz rows)
-    sylvester = np.zeros((max(da, dz) + 1, da + dz, da + dz), dtype=complex)
-    for r in range(da):
-        sylvester[:da + 1, r, r:r + dz + 1] = coeffs[0]
-    for r in range(dz):
-        sylvester[:dz + 1, da + r, r:r + da + 1] = coeffs[0].conj().T
-    m = da * da + dz * dz + 1
-    xs = np.exp(2j * np.pi * np.arange(m) / m)
-    nodes = np.tensordot(xs[:, None] ** np.arange(len(sylvester)), sylvester, 1)
-    res = np.fft.fft(np.linalg.det(nodes)) / m
-    ratio = np.abs(res).max() / scale[0] ** (da + dz)
-    if ratio <= 1e-9:
+    live = (mag > 1e-12 * scale[:, None, None]).any(axis=0)
+    da = np.nonzero(live.any(axis=1))[0].max()
+    dz = kp if folded else np.nonzero(live.any(axis=0))[0].max()
+    coeffs = coeffs[:, :da + 1, :dz + 1]
+    d = coeffs[0]
+    # (second member, its scale, margin weight): (D_1, D_2), (D_1, E_1); or (D, E)
+    pairs = [(coeffs[1], scale[1], 1.0)] if folded and not flat[1] else []
+    for q, q_scale, weight in pairs + [(d.conj().T, scale[0], float(not folded))]:
+        sylvester, degrees = _sylvester(d, q)
+        m = sum(degrees) + 1
+        powers = _unity_powers(m)
+        det_s = np.linalg.det(np.tensordot(powers[:, :len(sylvester)], sylvester, 1))
+        ratio = (np.abs(det_s.conj() @ powers[:, :m]).max() / m
+                 / (scale[0] ** (q.shape[1] - 1) * q_scale ** (d.shape[1] - 1)))
+        if ratio > 1e-9:
+            break
+    else:
         raise DegenerateSystem(
             "the resultant of the determinant and its conjugate vanishes "
             "identically: the self-consistent roots form a curve", continuum=True)
-    return _Margined(_polished_roots(coeffs, scale, _pencil_eigenvalues(
-        sylvester, [da] * da + [dz] * dz), k + kp), ratio)
-
-
-def _pencil_case_candidates(blocks, k):
-    """k = N - 1 < k + k'.  A real combination c of the PT rows is a row of
-    ker rho^{T_A}, so D_c(alpha, z) = A_c(alpha) + z B_c(alpha), the determinant
-    it completes, vanishes at every hit with z = conj(alpha).  For two of them
-    (1, conj alpha) is a null vector of S(alpha) = [[A_1, B_1], [A_2, B_2]]:
-    the eigenvalues of the pencil of S, of size 2k, contain every hit.  Where
-    a D_c vanishes identically (relative to the Hadamard bound of its rows) or
-    det S does (at 2k + 1 roots of unity, relative to the scales of the D_c),
-    _det_case_candidates enumerates the first instead, with margin 0.  Else
-    the margin is the peak of |det S| at those points over the scales."""
-    w = _pt_row_weights(blocks[2].shape[0])
-    folded = blocks[:2] + (w @ blocks[2], w @ blocks[3])
-    pencil = _det_bipoly(*folded, k, 1).transpose(1, 0, 2)  # S(alpha) = sum alpha^i pencil[i]
-    scale = np.abs(pencil).max(axis=(0, 2))
-    xs = np.exp(2j * np.pi * np.arange(2 * k + 1) / (2 * k + 1))
-    peak = np.abs(np.linalg.det(np.tensordot(xs[:, None] ** np.arange(k + 1), pencil, 1))).max()
-    if ((scale <= 1e-12 * _coefficient_bounds(*folded)).any()
-            or peak <= 1e-9 * scale[0] * scale[1]):
-        return _Margined(_det_case_candidates(folded, k, 1), 0.0)
-    da = np.nonzero((np.abs(pencil) > 1e-12 * scale[:, None]).any(axis=(1, 2)))[0].max()
-    seeds = _pencil_eigenvalues(pencil[:da + 1], [da, da]) if da else np.zeros(0, complex)
-    return _Margined(_polished_roots(pencil[:da + 1].transpose(1, 0, 2), scale, seeds, k + 1),
-                     peak / (scale[0] * scale[1]))
+    seeds = _pencil_eigenvalues(sylvester, degrees) if m > 1 else np.zeros(0, complex)
+    return _Margined(_polished_roots(coeffs, scale, seeds, k + kp), weight * ratio)
 
 
 def _polished_roots(coeffs, scale, al, degree):
@@ -515,17 +510,17 @@ def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
     """Edge iff no product vector sits in the range with its conjugate partner
     in the PT range.  Only meaningful for PPT states.
 
-    find_product_vectors searches the determinant case k + k' = N (for
+    search_product_vectors searches the determinant case k + k' = N (for
     every k') and the case k = N - 1 < k + k'; there 'not_edge' is exact,
-    and 'edge' is exact where search_product_vectors is isolated.  A
-    continuum of hits is 'not_edge' once one witness is found (any f when
-    there are no kernel constraints at all), else 'unknown'; other kernel
-    dimensions are 'unknown'."""
+    and 'edge' is exact where the search is isolated: no hit from a search
+    that is not isolated is 'unknown'.  A continuum of hits is 'not_edge'
+    once one witness is found (any f when there are no kernel constraints at
+    all), else 'unknown'; other kernel dimensions are 'unknown'."""
     ppt, min_eig = densmat.is_ppt(rho)
     if not ppt:
         raise InputError(f"edge test needs a PPT state (min PT eigenvalue {min_eig:.3e})")
     try:
-        hits = find_product_vectors(rho, tol=tol)
+        hits, isolated = search_product_vectors(rho, tol=tol)
     except DegenerateSystem:
         hit = _find_any_hit(rho, tol)
         if hit is not None:
@@ -535,7 +530,7 @@ def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
         return EdgeVerdict("unknown", None, ())
     if hits:
         return EdgeVerdict("not_edge", hits[0], tuple(hits))
-    return EdgeVerdict("edge", None, ())
+    return EdgeVerdict("edge" if isolated else "unknown", None, ())
 
 
 # Seeds and step budget of the continuum witness search, _find_any_hit

@@ -75,7 +75,8 @@ class DiagonalGramCertificate(ReadOnly):
 
     ``basis_a``/``basis_b`` record the local basis the certificate refers to
     (None means computational); <D_i v_j, D_m v_n> equals rho expressed in
-    that basis.
+    that basis.  A basis that is not unitary to 1e-10 (or holds a NaN)
+    would rescale rho instead of only turning it: gram.NotIsometry.
     """
 
     def __init__(self, dim_a: int, dim_b: int, diagonals: np.ndarray, frame: np.ndarray,
@@ -85,8 +86,13 @@ class DiagonalGramCertificate(ReadOnly):
         if d.shape[0] != dim_a or v.shape[0] != dim_b or d.shape[1] != v.shape[1]:
             raise InputError("need diagonals M x K and frame N x K")
         for basis, dim in ((basis_a, dim_a), (basis_b, dim_b)):
-            if basis is not None and np.shape(basis) != (dim, dim):
+            if basis is None:
+                continue
+            if np.shape(basis) != (dim, dim):
                 raise InputError(f"a local basis must be {dim} x {dim}, got {np.shape(basis)}")
+            dev = np.abs(np.conj(basis).T @ basis - np.eye(dim)).max()
+            if not dev <= 1e-10:
+                raise gram.NotIsometry(f"a local basis deviates from unitarity by {dev:.3e}")
         d.setflags(write=False)
         v.setflags(write=False)
         self.__dict__.update(dim_a=dim_a, dim_b=dim_b, diagonals=d, frame=v,
@@ -145,8 +151,7 @@ def _givens(dim: int, i: int, j: int, angle: float) -> np.ndarray:
     return g
 
 
-def decomposition_to_certificate(sd: SeparableDecomposition,
-                                 enforce_nonsingular: bool = True) -> DiagonalGramCertificate:
+def decomposition_to_certificate(sd: SeparableDecomposition) -> DiagonalGramCertificate:
     """Certificate with (D_m)_ll = <phi_l|e_m> and (v_n)_l = <psi_l|f_n>.
 
     If some phi_l is orthogonal to a basis vector the diagonal picks up a
@@ -159,7 +164,7 @@ def decomposition_to_certificate(sd: SeparableDecomposition,
     for attempt in range(9):
         diag = (sd.phis.T if ua is None else ua.conj().T @ sd.phis.T).conj()  # [m, l] = <phi_l|e'_m>
         small = np.abs(diag) <= SINGULAR_DIAG_TOL * scale
-        if not enforce_nonsingular or not small.any():
+        if not small.any():
             break
         if attempt == 8:
             raise ZeroDiagonal(

@@ -572,6 +572,24 @@ def test_ffcnm_verify_input_errors(tmp_path, capsys):
         assert code == 1 and err.startswith("input error: ")
 
 
+def test_ffcnm_verify_rejects_a_local_basis_that_is_not_unitary(tmp_path, capsys):
+    """With a zero A basis, d = 1 and v = 0 reproduce the zero matrix, so
+    that certificate would pass against any state, here an NPT one.  A local
+    basis that is not unitary, or holds a NaN, is an input error."""
+    state = str(tmp_path / "npt.json")
+    code, _, _ = run_cli(capsys, "gen", "random", "--m", "2", "--n", "2", "--r", "4",
+                         "--seed", "3", "-o", state)
+    assert code == 0
+    one, zero, nan = [1.0, 0.0], [0.0, 0.0], [float("nan"), 0.0]
+    cert = {"m": 2, "n": 2, "d": [[one], [one]], "v": [[zero], [zero]]}
+    cert_path = tmp_path / "cert.json"
+    for basis in ([[zero, zero], [zero, zero]], [[one, nan], [zero, one]]):
+        cert_path.write_text(json.dumps(dict(cert, basis_a=basis)))
+        code, out, err = run_cli(capsys, "ffcnm-verify", str(cert_path), state)
+        assert (code, out) == (1, "") and err.startswith("input error: "), err
+        assert "unitarity" in err
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/state.json")
     assert code == 1

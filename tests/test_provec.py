@@ -214,7 +214,7 @@ def test_determinant_equation_57_raises_above_bound(monkeypatch):
     dm, _ = fixtures.rank57_state(0)
     roots = [complex(0.1 * j, 0.05) for j in range(11)]
 
-    monkeypatch.setattr(provec, "_det_case_candidates",
+    monkeypatch.setattr(provec, "_candidates",
                         lambda blocks, k, kp: [(a, False) for a in roots] + [(0j, True)])
     monkeypatch.setattr(provec, "_validate_candidates", accept_finite)
     with pytest.raises(DegenerateSystem):
@@ -274,7 +274,7 @@ def grid_reference_candidates(blocks, k, kp):
 
 def reference_alphas(monkeypatch, search, dm):
     with monkeypatch.context() as m:
-        m.setattr(provec, "_det_case_candidates", grid_reference_candidates)
+        m.setattr(provec, "_candidates", grid_reference_candidates)
         return [h.alpha for h in search(dm)]
 
 
@@ -311,7 +311,7 @@ def test_det_case_contains_grid_reference_66(monkeypatch):
 # The elimination case's former seeding (k = N - 1 < k + k'), kept verbatim
 # as a reference together with the polynomial helpers it used.
 _det_bipoly = provec._det_bipoly
-_det_case_candidates = provec._det_case_candidates
+_candidates = provec._candidates  # the determinant case, the reference's fallback
 
 
 def _trim(coeffs: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
@@ -394,7 +394,7 @@ def _eliminate_case_candidates(blocks, k, kp):
     if not polys:
         # proportional conditions: fall back to the bivariate determinant solve
         sub = (psi0, psi1, phi0[jb:jb + 1], phi1[jb:jb + 1])
-        return _det_case_candidates(sub, k, 1)
+        return _candidates(sub, k, 1)
     root_sets = [_poly_roots(p) for p in polys]
     matched = []
     for r in root_sets[0]:
@@ -496,8 +496,8 @@ def test_elimination_case_raises_above_bound(monkeypatch):
     monkeypatch.setattr(provec, "_validate_candidates", accept_finite)
     for count, raises in ((6, False), (7, True)):
         roots = [complex(0.1 * j, 0.05) for j in range(count)]
-        monkeypatch.setattr(provec, "_pencil_case_candidates",
-                            lambda blocks, k: [(a, False) for a in roots] + [(0j, True)])
+        monkeypatch.setattr(provec, "_candidates",
+                            lambda blocks, k, kp: [(a, False) for a in roots] + [(0j, True)])
         if raises:
             with pytest.raises(DegenerateSystem):
                 find_product_vectors(rho)
@@ -520,40 +520,44 @@ def spy(monkeypatch, name):
 
 def test_pencil_case_seeds_from_a_2k_pencil_and_finds_every_planted_vector(monkeypatch):
     """(N+1)-term mixtures on 2xN, kernel dims (N-1, N-1): the seeds are the
-    eigenvalues of one pencil of size 2k = 2N - 2, the resultant enumeration
-    never runs, and every planted product vector is a hit."""
+    eigenvalues of one pencil of size 2k = 2N - 2, the only Sylvester matrix
+    formed is the 2x2 one of the two folds (never the fallback to the first
+    fold and its conjugate), and every planted product vector is a hit."""
     pencils = spy(monkeypatch, "_pencil_eigenvalues")
-    resultants = spy(monkeypatch, "_det_case_candidates")
+    sylvesters = spy(monkeypatch, "_sylvester")
     for n in (3, 4, 5, 6):
         for seed in range(10000, 10100):
             rho, sd = states.random_separable(2, n, n + 1, seed=seed)
             pencils.clear()
+            sylvesters.clear()
             hits = find_product_vectors(rho)
             assert [sum(degrees) for _, degrees in pencils] == [2 * (n - 1)], (n, seed)
+            assert [(p.shape, q.shape) for p, q in sylvesters] == [((n, 2), (n, 2))], (n, seed)
             for phi, psi in zip(sd.phis, sd.psis):
                 gen = np.kron(phi, psi)
                 assert max(overlap(h.product_vector(), gen) for h in hits) > 1 - 1e-6, (n, seed)
-    assert resultants == []
 
 
 def test_pencil_case_falls_back_to_the_resultant_only_where_det_s_vanishes(monkeypatch):
     """On the Horodecki family (kernel dims (3, 3) on 2x4) det S vanishes
     identically only at the separable point b = 1, whose continuum the
-    resultant enumeration on the first combination reports."""
-    resultants = spy(monkeypatch, "_det_case_candidates")
+    fallback pair, the first combination and its conjugate, reports."""
+    sylvesters = spy(monkeypatch, "_sylvester")
     bs = np.linspace(0.05, 1.0, 20)
     assert bs[-1] == 1.0
     for b in bs:
-        resultants.clear()
+        sylvesters.clear()
         rho = states.horodecki97(b)
         if b < 1.0:
             assert find_product_vectors(rho) == []
-            assert resultants == []
+            assert [(p.shape, q.shape) for p, q in sylvesters] == [((4, 2), (4, 2))], b
         else:
             with pytest.raises(DegenerateSystem) as err:
                 find_product_vectors(rho)
             assert err.value.continuum
-            assert [args[1:] for args in resultants] == [(3, 1)]
+            (d1, d2), (p, q) = sylvesters
+            assert d1.shape == d2.shape == (4, 2)
+            assert p is d1 and np.array_equal(q, p.conj().T)
 
 
 def test_pencil_case_with_determinants_constant_in_alpha():
@@ -615,6 +619,17 @@ def test_edge_verdict_unknown_outside_completeness_domain():
     flipped = densmat.validate_density(densmat.partial_transpose(dm, "A"), 2, 4)
     assert densmat.rank_pattern(flipped) == (6, 5)
     assert edge_state_test(flipped).verdict == "unknown"
+
+
+def test_edge_verdict_unknown_where_no_hit_comes_from_a_search_that_is_not_isolated(
+        monkeypatch):
+    """A (5,6) edge state: no hit from an isolated search is 'edge'; no hit
+    from a search that cannot rule out a lost hit is only 'unknown'."""
+    dm = fixtures.ppt56_state(0)
+    assert edge_state_test(dm).verdict == "edge"
+    monkeypatch.setattr(provec, "_ISOLATION_MARGIN", np.inf)
+    assert provec.search_product_vectors(dm) == ([], False)
+    assert edge_state_test(dm) == ("unknown", None, ())
 
 
 def test_hits_sorted_deterministically():
