@@ -1,19 +1,20 @@
 """Command-line frontend: analysis pipeline and JSON report emission.
 
-The analyze pipeline runs PPT -> canonical form -> rank-case dispatch ->
-extension solver -> certificate extraction, and never overclaims: a state is
-reported separable only with a verified certificate attached, and a failed
-heuristic search yields ``ppt_undecided`` rather than an entanglement verdict.
+The analyze pipeline runs PPT -> rank-case dispatch -> extension solver ->
+certificate extraction, and never overclaims: a state is reported separable
+only with a verified certificate attached, and a failed heuristic search
+yields ``ppt_undecided`` rather than an entanglement verdict.
 
-After the exact rank-N, self-transpose and (N+1, N+1) paths, a PPT 2xN
-state on which the product-vector search is complete is decomposed over its
-hits first (``solver.method`` "product_vector_cone").  A fit over them
-certifies a separable state.  Where the search is isolated (no hit can
-have been lost to rounding), every term of a product decomposition is a
-hit, so no hit, or independent hit projectors that do not fit rho, rule
-one out: ``ppt_undecided`` without a solver.  A failed fit of a search
-that is not isolated, dependent hit projectors or a continuum of hits hand
-the state to the solvers unchanged.
+The canonical frame [[A, B], [B^dag, I]] is built first only for r = r',
+the one rank pattern of the exact rank-N, self-transpose and (N+1, N+1)
+paths.  Next, a PPT 2xN state on which the product-vector search of rho
+itself is complete is decomposed over its hits (``solver.method``
+"product_vector_cone").  A fit over them certifies a separable state.
+Where the search is isolated (no hit can have been lost to rounding), every
+term of a product decomposition is a hit, so no hit, or independent hit
+projectors that do not fit rho, rule one out: ``ppt_undecided`` without a
+solver.  Otherwise the frame follows for the solvers; where it finds a
+deficient B support, the dispatch restarts on the deflated state.
 
 A PPT 2x3 state that would reach the descent (kernel dims k + k' < 3) has
 product projectors subtracted down to a remainder of k + k' >= 3, which
@@ -26,6 +27,7 @@ input as before.  Other patterns, and 2x2 and 2xN with N >= 4, descend.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -74,18 +76,23 @@ def _turned(rho: DensityMatrix, u, back, post=lambda sd: sd):
         2, rho.dim_b, back(sd.phis), sd.psis))
 
 
-class _BSupportIsALine(Exception):
-    """Carries the decomposition of a state whose tr_A rho has rank one:
-    rho = sigma_A (x) |f><f| needs no completion."""
+class _Decided(Exception):
+    """Ends _decompose with its (sd, rejection) pair, where building the
+    canonical frame already settles the state."""
+
+
+class _Deflated(Exception):
+    """Carries (reduced, iso) of deflate_b_support, for a B support of
+    dimension below N: _decompose decides rho on it."""
 
 
 def _canonical_with_fallbacks(rho: DensityMatrix):
-    """Canonical form with the A-swap, B-support deflation and A-turn
-    fallbacks.
+    """Canonical form with the A-swap and A-turn fallbacks.
 
     Returns (cf, state_used, post) where ``post`` maps a decomposition of the
-    state actually canonicalized back to one of ``rho``.  Raises
-    _BSupportIsALine where the B support is one-dimensional.
+    state actually canonicalized back to one of ``rho``.  Where tr_A rho is
+    singular, raises _Decided with rho's decomposition if its rank is one,
+    and _Deflated if it is higher.
     """
     try:
         return twoxn.canonical_form(rho), rho, lambda sd: sd
@@ -98,35 +105,40 @@ def _canonical_with_fallbacks(rho: DensityMatrix):
     reduced, iso = twoxn.deflate_b_support(rho)
     if reduced.dim_b == 1:  # one term per eigenvector of sigma_A, each with psi = f
         phis = twoxn.factor_psd(reduced.mat, rel_tol=densmat.RANK_TOL).T
-        raise _BSupportIsALine(sep.SeparableDecomposition(
-            2, rho.dim_b, phis, np.repeat(iso.T, len(phis), axis=0)))
+        raise _Decided(sep.SeparableDecomposition(
+            2, rho.dim_b, phis, np.repeat(iso.T, len(phis), axis=0)), None)
     if reduced.dim_b == rho.dim_b:
         # both diagonal blocks singular and tr_A rho of full rank
         return _turned(rho, _TURN, lambda phis: phis @ _TURN)
-    cf, used, post_inner = _canonical_with_fallbacks(reduced)
-
-    def lift(sd):
-        inner = post_inner(sd)
-        return sep.SeparableDecomposition(2, rho.dim_b, inner.phis,
-                                          inner.psis @ iso.T)
-
-    return cf, used, lift
+    raise _Deflated(reduced, iso)
 
 
-def _kernel_dims(rho: DensityMatrix) -> tuple[int, int]:
-    """(k, k'), the kernel dimensions of rho and rho^{T_A} on 2xN."""
-    return tuple(2 * rho.dim_b - rank for rank in densmat.rank_pattern(rho))
+def _frame(rho: DensityMatrix, timings: dict):
+    """(cf, used, post, ep): the frame of _canonical_with_fallbacks and its
+    completion data; _Decided where no frame exists or it settles rho."""
+    t0 = time.perf_counter()
+    try:
+        cf, used, post = _canonical_with_fallbacks(rho)
+        return cf, used, post, twoxn.known_part(cf)
+    except twoxn.SingularC:
+        raise _Decided(None, (VERDICT_UNDECIDED,
+                              "no nonsingular local block to canonicalize against"))
+    except twoxn.NotPPT:
+        # PPT passed at tolerance but the canonical gap is numerically negative
+        raise _Decided(None, (VERDICT_UNDECIDED, "PPT is marginal; canonical gap not factorable"))
+    finally:
+        timings["canonical"] = timings.get("canonical", 0.0) + time.perf_counter() - t0
 
 
-def _product_vector_cone(rho: DensityMatrix):
-    """(search, fit) where the product-vector search of rho can be complete,
-    that is for kernel dims k + k' = N or k = N - 1 < k + k': search is
-    provec.search_product_vectors's (hits, isolated), and fit
-    provec.fit_product_cone's (phis, psis, residual), or None where there
-    are no hits or their projectors are dependent.  None for other kernel
-    dims and where the search finds a continuum."""
+def _product_vector_cone(rho: DensityMatrix, ranks):
+    """(search, fit) where the product-vector search of rho, of rank pattern
+    ``ranks``, can be complete, that is for kernel dims k + k' = N or
+    k = N - 1 < k + k': search is provec.search_product_vectors's (hits,
+    isolated), and fit provec.fit_product_cone's (phis, psis, residual), or
+    None where there are no hits or their projectors are dependent.  None
+    for other kernel dims and where the search finds a continuum."""
     n = rho.dim_b
-    k, kp = _kernel_dims(rho)
+    k, kp = (2 * n - rank for rank in ranks)
     if not (k + kp == n or k == n - 1 < k + kp):
         return None
     from . import provec  # loaded only by the paths that search or subtract product vectors
@@ -140,20 +152,22 @@ def _product_vector_cone(rho: DensityMatrix):
         return search, None
 
 
-def _product_subtraction(used: DensityMatrix, post, rho: DensityMatrix, cert_tol: float):
-    """(sd, solver) for a PPT 2x3 state ``used`` of kernel dims k + k' < 3:
-    product projectors subtracted by provec.subtract_product_projectors, the
-    remainder decomposed by the exact branches of _decompose, and sd, the
-    subtracted terms followed by the remainder's, mapped by ``post`` onto rho
-    and within ``cert_tol`` of it.  None elsewhere, and where the subtraction
-    fails or the remainder has no exact branch that accepts."""
-    if used.dim_b != 3 or sum(_kernel_dims(used)) >= 3:
+def _product_subtraction(used: DensityMatrix, post, rho: DensityMatrix, ranks, cert_tol: float):
+    """(sd, solver) for a PPT 2x3 state ``used`` of kernel dims k + k' < 3
+    (from its ``ranks``): product projectors subtracted by
+    provec.subtract_product_projectors, the remainder decomposed by the exact
+    branches of _decompose, and sd, the subtracted terms followed by the
+    remainder's, mapped by ``post`` onto rho and within ``cert_tol`` of it.
+    None elsewhere, and where the subtraction fails or the remainder has no
+    exact branch that accepts."""
+    if used.dim_b != 3 or sum(ranks) <= 9:  # k + k' = 12 - r - r'
         return None
     from . import provec  # loaded only by the paths that search or subtract product vectors
     sub = {"residuals": {}}
     try:
         remainder, phis, psis = provec.subtract_product_projectors(used)
-        part, _ = _decompose(remainder, sub, {}, cert_tol, exact_only=True)
+        rem_ranks = densmat.rank_pattern(remainder)
+        part, _ = _decompose(remainder, rem_ranks, sub, {}, cert_tol, exact_only=True)
     except (InputError, provec.DegenerateSystem, np.linalg.LinAlgError):
         return None
     if part is None:
@@ -163,108 +177,101 @@ def _product_subtraction(used: DensityMatrix, post, rho: DensityMatrix, cert_tol
     if sd.residual(rho) > cert_tol:
         return None
     return sd, {"method": "product_subtraction", "subtractions": len(phis),
-                "remainder": {"case": "({},{})".format(*densmat.rank_pattern(remainder)),
-                              **sub["solver"]}}
+                "remainder": {"case": "({},{})".format(*rem_ranks), **sub["solver"]}}
 
 
-def _decompose(rho: DensityMatrix, report: dict, timings: dict, cert_tol: float,
+def _decompose(rho: DensityMatrix, ranks, report: dict, timings: dict, cert_tol: float,
                budget: int = 12, seed: int = 0, exact_only: bool = False):
-    """The dispatch of a PPT 2xN state of rank > 1 on its rank pattern:
-    (sd, None) with a product decomposition of rho still to be certified, or
-    (None, (verdict, note)).  Writes ``report["solver"]``, the family
-    residuals and the stage times.  With ``exact_only`` the searching
-    branches (the (5,6) grid, the product subtraction and the descent) do
-    not run: (None, None) there."""
-    t0 = time.perf_counter()
-    try:
-        cf, used, post = _canonical_with_fallbacks(rho)
-    except twoxn.SingularC:
-        return None, (VERDICT_UNDECIDED, "no nonsingular local block to canonicalize against")
-    except _BSupportIsALine as line:
-        timings["canonical"] = time.perf_counter() - t0
-        return line.args[0], None
-    timings["canonical"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    try:
-        ep = twoxn.known_part(cf)
-    except twoxn.NotPPT:
-        # PPT passed at tolerance but the canonical gap is numerically negative
-        return None, (VERDICT_UNDECIDED, "PPT is marginal; canonical gap not factorable")
-
-    rejection = None  # (verdict, note) reported when the solver accepts nothing
+    """The dispatch of a PPT 2xN state of rank > 1 on its rank pattern
+    ``ranks``: (sd, None) with a product decomposition of rho still to be
+    certified, or (None, (verdict, note)).  Writes ``report["solver"]``, the
+    family residuals and the canonical and extraction times.  With
+    ``exact_only`` the searching branches (the (5,6) grid, the product
+    subtraction and the descent) do not run: (None, None) there."""
+    sol = rejection = None  # rejection: (verdict, note) reported when the solver accepts nothing
     search = None  # ((hits, isolated), fit) of _product_vector_cone, where it ran
-    if ep.q == 0:
-        sol = twoxn.rank_n_test(cf)
-        rejection = (VERDICT_UNDECIDED, f"rank-N commutator residual "
-                                        f"{sol.normality_residual:.3e} above tolerance")
-    elif densmat.hermitian_deviation(cf.b) <= 1e-9 and cf.p == cf.p_tilde:
-        sol = twoxn.self_pt_extension(cf)
-    elif (ep.p, ep.p_tilde) == (1, 1):
-        sol = twoxn.solve_extension_55(ep, accept_tol=cert_tol)
-        if sol.mixing.get("at_infinity"):  # in the turned A basis s is finite
-            try:
-                turned = _turned(used, _TURN, lambda phis: phis @ _TURN, post)
-                sol = twoxn.solve_extension_55(twoxn.known_part(turned[0]), accept_tol=cert_tol)
-                cf, used, post = turned
-            except InputError:
-                pass
-        if sol.mixing.get("at_infinity"):
-            rejection = (VERDICT_UNDECIDED, "a scalar completion lies at s = infinity in "
-                                            "both the canonical and the turned A basis")
-        elif cf.n == 4:
-            rejection = (VERDICT_RANGE, "no scalar normal completion exists; equivalent to the "
-                                        "range criterion for the (5,5) pattern")
-        else:
-            rejection = (VERDICT_UNDECIDED, "no scalar normal completion exists, so no (N+1)-term "
-                                            "product decomposition; longer ones are not excluded")
-    else:
-        search = _product_vector_cone(used)
-        if search is not None:
-            (hits, isolated), fit = search
-            report["solver"] = {"method": "product_vector_cone", "hits": len(hits)}
-            if fit is not None:
-                report["solver"]["fit_residual"] = fit[2]
-                if fit[2] <= cert_tol:
-                    timings["solver"] = time.perf_counter() - t0
-                    return post(sep.SeparableDecomposition(2, used.dim_b, *fit[:2])), None
-            # an isolated search lost no hit, so every term of a product
-            # decomposition is a hit: with none, or with independent hit
-            # projectors that do not fit rho, there is no decomposition to find
-            if isolated and not hits:
-                timings["solver"] = time.perf_counter() - t0
-                return None, (VERDICT_UNDECIDED,
-                              "the complete product-vector search finds no product vector in "
-                              "the range with its partner in the PT range; entangled_range is "
-                              "not reported on this path")
-            if isolated and fit is not None:
-                timings["solver"] = time.perf_counter() - t0
-                return None, (VERDICT_UNDECIDED,
-                              f"the complete, isolated product-vector search finds {len(hits)} "
-                              f"product vectors, whose independent projectors fit rho only to "
-                              f"{fit[2]:.3e}; no other product vector can enter a decomposition, "
-                              "so no solver runs; entangled_range is not reported on this path")
-        if exact_only:
-            return None, None
-        if cf.n == 4 and (ep.p, ep.p_tilde) == (1, 2):
-            sol = twoxn.solve_extension_56(ep)
-            rejection = (VERDICT_UNDECIDED,
-                         "no completion found on the search grid; existence not excluded")
-        else:
-            # on 2x3 PPT is separability: subtract product projectors down to a
-            # pattern an exact branch decides, and descend only where that fails
-            found = _product_subtraction(used, post, rho, cert_tol)
-            if found is not None:
-                report["solver"] = found[1]
-                timings["solver"] = time.perf_counter() - t0
-                return found[0], None
-            sol = twoxn.solve_extension_general(ep, budget=budget, seed=seed)
-            rejection = (VERDICT_UNDECIDED,
-                         f"best completion residual {sol.normality_residual:.3e}")
+    try:
+        frame = None
+        if ranks[0] == ranks[1]:  # the one pattern of the exact branches, which need the frame
+            cf, used, post, ep = frame = _frame(rho, timings)
+            if ep.q == 0:
+                sol = twoxn.rank_n_test(cf)
+                rejection = (VERDICT_UNDECIDED, f"rank-N commutator residual "
+                                                f"{sol.normality_residual:.3e} above tolerance")
+            elif cf.p == cf.p_tilde:
+                with contextlib.suppress(twoxn.NotSelfPT):  # its guard: B Hermitian
+                    sol = twoxn.self_pt_extension(cf)
+            if sol is None and (ep.p, ep.p_tilde) == (1, 1):
+                sol = twoxn.solve_extension_55(ep, accept_tol=cert_tol)
+                if sol.mixing.get("at_infinity"):  # in the turned A basis s is finite
+                    try:
+                        turned = _turned(used, _TURN, lambda phis: phis @ _TURN, post)
+                        sol = twoxn.solve_extension_55(twoxn.known_part(turned[0]),
+                                                       accept_tol=cert_tol)
+                        cf, used, post = turned
+                    except InputError:
+                        pass
+                if sol.mixing.get("at_infinity"):
+                    rejection = (VERDICT_UNDECIDED, "a scalar completion lies at s = infinity in "
+                                                    "both the canonical and the turned A basis")
+                elif cf.n == 4:
+                    rejection = (VERDICT_RANGE, "no scalar normal completion exists; equivalent "
+                                                "to the range criterion for the (5,5) pattern")
+                else:
+                    rejection = (VERDICT_UNDECIDED, "no scalar normal completion exists, so no "
+                                                    "(N+1)-term product decomposition; longer "
+                                                    "ones are not excluded")
+        if sol is None:
+            search = _product_vector_cone(rho, ranks)
+            if search is not None:
+                (hits, isolated), fit = search
+                report["solver"] = {"method": "product_vector_cone", "hits": len(hits)}
+                if fit is not None:
+                    report["solver"]["fit_residual"] = fit[2]
+                    if fit[2] <= cert_tol:
+                        return sep.SeparableDecomposition(2, rho.dim_b, *fit[:2]), None
+                # an isolated search lost no hit, so every term of a product
+                # decomposition is a hit: with none, or with independent hit
+                # projectors that do not fit rho, there is no decomposition to find
+                if isolated and not hits:
+                    return None, (VERDICT_UNDECIDED,
+                                  "the complete product-vector search finds no product vector "
+                                  "in the range with its partner in the PT range; "
+                                  "entangled_range is not reported on this path")
+                if isolated and fit is not None:
+                    return None, (VERDICT_UNDECIDED,
+                                  f"the complete, isolated product-vector search finds "
+                                  f"{len(hits)} product vectors, whose independent projectors "
+                                  f"fit rho only to {fit[2]:.3e}; no other product vector can "
+                                  "enter a decomposition, so no solver runs; entangled_range "
+                                  "is not reported on this path")
+            cf, used, post, ep = frame or _frame(rho, timings)
+            if exact_only:
+                return None, None
+            if cf.n == 4 and (ep.p, ep.p_tilde) == (1, 2):
+                sol = twoxn.solve_extension_56(ep)
+                rejection = (VERDICT_UNDECIDED,
+                             "no completion found on the search grid; existence not excluded")
+            else:
+                # on 2x3 PPT is separability: subtract product projectors down to a
+                # pattern an exact branch decides, and descend only where that fails
+                found = _product_subtraction(used, post, rho, ranks, cert_tol)
+                if found is not None:
+                    report["solver"] = found[1]
+                    return found[0], None
+                sol = twoxn.solve_extension_general(ep, budget=budget, seed=seed)
+                rejection = (VERDICT_UNDECIDED,
+                             f"best completion residual {sol.normality_residual:.3e}")
+    except _Decided as done:
+        return done.args
+    except _Deflated as deflated:  # decide rho on its B support, then lift psi = iso psi'
+        reduced, iso = deflated.args
+        sd, rejection = _decompose(reduced, ranks, report, timings, cert_tol, budget, seed,
+                                   exact_only)
+        return sd and sep.SeparableDecomposition(2, rho.dim_b, sd.phis, sd.psis @ iso.T), rejection
     report["solver"] = _solver_dict(sol)
     if search is not None:
         report["solver"]["hits"] = len(search[0].hits)
-    timings["solver"] = time.perf_counter() - t0
     if rejection is not None and not sol.accepted:
         return None, rejection
 
@@ -332,7 +339,10 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
         sd = _schmidt_product_decomposition(rho, tol)
         rejection = (VERDICT_UNDECIDED, "rank-one state with Schmidt rank > 1 slipped the PPT gate")
     else:
-        sd, rejection = _decompose(rho, report, timings, cert_tol, budget, seed)
+        t0 = time.perf_counter()
+        sd, rejection = _decompose(rho, (r, rt), report, timings, cert_tol, budget, seed)
+        timings["solver"] = (time.perf_counter() - t0 - timings.get("canonical", 0.0)
+                             - timings.get("extract", 0.0))
     if sd is None:
         return finish(*rejection)
 

@@ -60,7 +60,7 @@ class ProductVectorHit(NamedTuple):
     residual_pt_range: float
 
     def product_vector(self) -> np.ndarray:
-        return np.kron(self.e, self.f)
+        return np.outer(self.e, self.f).ravel()
 
 
 def _row_blocks(rho: DensityMatrix):
@@ -229,7 +229,7 @@ def search_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> ProductVect
     if rho.dim_a != 2:
         raise InputError(f"product-vector search needs dim_a = 2, got {rho.dim_a}")
     hits = _search(_row_blocks(rho), tol)
-    return ProductVectorSearch(list(hits), hits.margin > _ISOLATION_MARGIN)
+    return ProductVectorSearch(list(hits), bool(hits.margin > _ISOLATION_MARGIN))
 
 
 def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductVectorHit]:
@@ -470,9 +470,9 @@ def subtract_product_projectors(rho: DensityMatrix
         if len(phis) == n:
             raise DegenerateSystem(f"{n} subtractions left kernel dims below {n}")
         f = np.linalg.svd(_stack_rows(blocks, alpha))[2][-1].conj()
-        v = np.kron(e, f)
+        v = np.outer(e, f).ravel()
         lam = 1 / max(_inverse_weight(rho.spectrum, v),
-                      _inverse_weight(rho.pt_spectrum, np.kron(e.conj(), f)))
+                      _inverse_weight(rho.pt_spectrum, np.outer(e.conj(), f).ravel()))
         rho = densmat.validate_density(rho.mat - lam * np.outer(v, v.conj()), 2, n,
                                        tol=rho.tol, unnormalized=True)
         phis.append(np.sqrt(lam) * e)

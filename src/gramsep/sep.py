@@ -272,12 +272,14 @@ def verify_ffcnm(fam: FfcnmFamily, g: GramSystem, tol: float = 1e-8) -> FfcnmRep
     if fam.k != g.k:
         raise InputError(f"family K={fam.k} but Gram system K={g.k}")
     normal = max(normality_residual(m) for m in fam.matrices.values())
-    commute = _worst_commutation(fam.matrices)
+    return FfcnmReport(normal, _worst_commutation(fam.matrices), relation_residual(fam, g), tol)
+
+
+def relation_residual(fam: FfcnmFamily, g: GramSystem) -> float:
+    """The largest |M_mk w_kn - w_mn| over the family and n."""
     w = g.vectors.reshape(g.k, g.dim_a, g.dim_b)  # w[:, m] holds w_m0 .. w_m(N-1)
-    relation = 0.0
-    for (m, kk), mat in fam.matrices.items():
-        relation = max(relation, float(np.linalg.norm(mat @ w[:, kk] - w[:, m], axis=0).max()))
-    return FfcnmReport(normal, commute, relation, tol)
+    return max((float(np.linalg.norm(mat @ w[:, kk] - w[:, m], axis=0).max())
+                for (m, kk), mat in fam.matrices.items()), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gramsep import cli, densmat, sep, states, twoxn
+from gramsep import cli, densmat, provec, sep, states, twoxn
 
 import fixtures
 
@@ -246,6 +246,78 @@ def test_product_vector_cone_certifies_every_random_246_mixture():
         report = cli.analyze_state(states.random_separable(2, 4, 6, seed=seed)[0])
         assert report["verdict"] == "separable_certified", seed
         assert report["solver"]["method"] == "product_vector_cone", seed
+
+
+def _embedded(rho, n_big, seed):
+    """rho with its B side carried into C^n_big by a random isometry, so
+    that tr_A of the result has rank rho.dim_b < n_big."""
+    rng = np.random.default_rng(seed)
+    shape = (n_big, rho.dim_b)
+    y = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    iso = np.kron(np.eye(2), y)
+    return densmat.validate_density(iso @ rho.mat @ iso.conj().T, 2, n_big)
+
+
+def _separable_78(seed):
+    """Seven product terms on 2x5 plus an eighth product vector in their
+    range: rank pattern (7,8), kernel dims (3,2), like separable_56."""
+    rho7, sd7 = states.random_separable(2, 5, 7, seed=seed)
+    psi0, psi1 = provec._row_blocks(rho7)[:2]
+    alpha = complex(*np.random.default_rng(seed).normal(size=2))
+    f = np.linalg.svd(psi0 + alpha * psi1)[2][-1].conj() / np.sqrt(7)
+    phis = np.vstack([sd7.phis, np.array([1, alpha]) / np.sqrt(1 + abs(alpha) ** 2)])
+    mat = sep.SeparableDecomposition(2, 5, phis, np.vstack([sd7.psis, f])).density()
+    return densmat.validate_density(mat / np.trace(mat).real, 2, 5)
+
+
+@pytest.mark.parametrize("make, n_big", [(lambda seed: fixtures.separable_56(seed)[0], 5),
+                                         (lambda seed: states.random_separable(2, 4, 6, seed)[0], 5),
+                                         (_separable_78, 6)],
+                         ids=["separable_56", "random_separable_246", "separable_78"])
+def test_deficient_b_support_keeps_the_cone(make, n_big):
+    """Embedded one dimension up, a state keeps its ranks, so its kernel
+    dims grow by 2 each: (5,4) on 2x5 for a (5,6) state, where rho's own
+    search is not complete; (4,4) on 2x5 for a (6,6) state and (5,4) on 2x6
+    for a (7,8) state, where it meets a continuum.  Only the deflated state
+    makes the search complete, and the cone certifies every one from it."""
+    for seed in range(8):
+        rho = make(seed)
+        report = cli.analyze_state(_embedded(rho, n_big, seed))
+        assert report["case"] == "({},{})".format(*densmat.rank_pattern(rho)), seed
+        got = (report["verdict"], report["solver"]["method"])
+        assert got == ("separable_certified", "product_vector_cone"), seed
+
+
+def test_real_a_vectors_stay_self_transpose_although_the_cone_could_fit():
+    """Six product terms with real A vectors on 2x4: rho = rho^{T_A} of rank
+    pattern (6,6), the complete case k + k' = N.  The exact self-transpose
+    branch comes first."""
+    rng = np.random.default_rng(11)
+    phis = rng.normal(size=(6, 2)).astype(complex)
+    psis = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+    mat = sep.SeparableDecomposition(2, 4, phis, psis).density()
+    rho = densmat.validate_density(mat / np.trace(mat).real, 2, 4)
+    report = cli.analyze_state(rho)
+    assert report["case"] == "(6,6)"
+    assert (report["verdict"], report["solver"]["method"]) == ("separable_certified", "self_pt")
+
+
+def test_cone_decides_56_states_without_the_canonical_frame(monkeypatch):
+    """The (5,6) pattern never reaches the exact branches, so the cone reads
+    rho's kernels and a state it decides, certified or not, builds no
+    canonical frame: its timings have no canonical stage."""
+    calls = []
+    real = twoxn.canonical_form
+    monkeypatch.setattr(twoxn, "canonical_form", lambda rho: calls.append(rho) or real(rho))
+    for name, verdict in (("sep56_7_0.json", "separable_certified"),
+                          ("sep56_2014_2.json", "separable_certified"),
+                          ("range_mix_1202_9.json", "ppt_undecided")):
+        rho = densmat.state_from_json_dict(json.loads(Path(__file__).with_name(name).read_text()))
+        report = cli.analyze_state(rho, with_timings=True)
+        assert report["case"] == "(5,6)", name
+        assert (report["verdict"], report["solver"]["method"]) == (verdict, "product_vector_cone")
+        assert "canonical" not in report["timings"], name
+    assert calls == []
 
 
 def test_range_mixture_with_an_isolated_unfitting_hit_runs_no_solver():

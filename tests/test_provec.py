@@ -72,6 +72,12 @@ def test_search_is_isolated_where_no_hit_can_be_lost():
         assert found.isolated and len(found.hits) == 1, b
 
 
+def test_isolated_flag_is_a_python_bool():
+    """The flag is the declared bool, not numpy's, so it serializes as true."""
+    search = provec.search_product_vectors(fixtures.ppt56_state(0))
+    assert type(search.isolated) is bool
+
+
 @pytest.mark.parametrize("seed, gap, count", [(12, 1e-5, 1), (4, 1e-4, 4), (12, 1e-4, 4)])
 def test_near_coincident_a_vectors_lose_hits_and_are_not_isolated(seed, gap, count):
     """Two of six A vectors ``gap`` apart: every planted vector validates at
