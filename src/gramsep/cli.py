@@ -8,20 +8,20 @@ yields ``ppt_undecided`` rather than an entanglement verdict.
 The canonical frame [[A, B], [B^dag, I]] is built first only for r = r',
 the one rank pattern of the exact rank-N, self-transpose and (N+1, N+1)
 paths.  Next, a PPT 2xN state on which the product-vector search of rho
-itself is complete is decomposed over its hits (``solver.method``
-"product_vector_cone").  A fit over them certifies a separable state.
-Where the search is isolated (no hit can have been lost to rounding), every
-term of a product decomposition is a hit, so no hit, or independent hit
-projectors that do not fit rho, rule one out: ``ppt_undecided`` without a
-solver.  Otherwise the frame follows for the solvers; where it finds a
-deficient B support, the dispatch restarts on the deflated state.
+itself can be complete (kernel dims k + k' >= N, 0 < k < N) is decomposed
+over its hits (``solver.method`` "product_vector_cone").  A fit over them
+certifies a separable state.  Where the search is isolated (no hit can
+have been lost to rounding), every term of a product decomposition is a
+hit, so no hit, or independent hit projectors that do not fit rho, rule
+one out: ``ppt_undecided`` without a solver.
 
-A PPT 2x3 state that would reach the descent (kernel dims k + k' < 3) has
-product projectors subtracted down to a remainder of k + k' >= 3, which
-the exact paths above decide (``solver.method`` "product_subtraction");
-on 2x3 PPT is separability, so the remainder stays separable.  Where the
-subtraction or the remainder's exact path fails, the descent runs on the
-input as before.  Other patterns, and 2x2 and 2xN with N >= 4, descend.
+A PPT 2x3 state with k + k' < 3 has product projectors subtracted from rho
+down to a remainder of k + k' = 3 or 4, which the same fit decomposes
+(``solver.method`` "product_subtraction"); on 2x3 PPT is separability, so
+the remainder stays separable.  Otherwise the frame follows for the
+solvers; where it finds a deficient B support, the dispatch restarts on the
+deflated state.  The descent takes k + k' < N on 2x2 and 2xN with N >= 4,
+and the searches that are not isolated and whose hits do not fit.
 """
 
 from __future__ import annotations
@@ -132,14 +132,14 @@ def _frame(rho: DensityMatrix, timings: dict):
 
 def _product_vector_cone(rho: DensityMatrix, ranks):
     """(search, fit) where the product-vector search of rho, of rank pattern
-    ``ranks``, can be complete, that is for kernel dims k + k' = N or
-    k = N - 1 < k + k': search is provec.search_product_vectors's (hits,
-    isolated), and fit provec.fit_product_cone's (phis, psis, residual), or
-    None where there are no hits or their projectors are dependent.  None
-    for other kernel dims and where the search finds a continuum."""
+    ``ranks``, can be complete, that is for kernel dims k + k' >= N with
+    0 < k < N: search is provec.search_product_vectors's (hits, isolated),
+    and fit provec.fit_product_cone's (phis, psis, residual), or None where
+    there are no hits or their projectors are dependent.  None for other
+    kernel dims and where the search finds a continuum."""
     n = rho.dim_b
     k, kp = (2 * n - rank for rank in ranks)
-    if not (k + kp == n or k == n - 1 < k + kp):
+    if not (k + kp >= n and 0 < k < n):
         return None
     from . import provec  # loaded only by the paths that search or subtract product vectors
     try:
@@ -152,42 +152,39 @@ def _product_vector_cone(rho: DensityMatrix, ranks):
         return search, None
 
 
-def _product_subtraction(used: DensityMatrix, post, rho: DensityMatrix, ranks, cert_tol: float):
-    """(sd, solver) for a PPT 2x3 state ``used`` of kernel dims k + k' < 3
-    (from its ``ranks``): product projectors subtracted by
-    provec.subtract_product_projectors, the remainder decomposed by the exact
-    branches of _decompose, and sd, the subtracted terms followed by the
-    remainder's, mapped by ``post`` onto rho and within ``cert_tol`` of it.
-    None elsewhere, and where the subtraction fails or the remainder has no
-    exact branch that accepts."""
-    if used.dim_b != 3 or sum(ranks) <= 9:  # k + k' = 12 - r - r'
+def _product_subtraction(rho: DensityMatrix, ranks, cert_tol: float):
+    """(sd, solver) for a PPT 2x3 state of kernel dims k + k' < 3 (from its
+    ``ranks``): product projectors subtracted by
+    provec.subtract_product_projectors, the remainder (k + k' = 3 or 4, where
+    the search is complete) fitted by _product_vector_cone, and sd, the
+    subtracted terms followed by the fitted ones, within ``cert_tol`` of rho.
+    None elsewhere, and where the subtraction or the fit fails."""
+    if rho.dim_b != 3 or sum(ranks) <= 9:  # k + k' = 12 - r - r'
         return None
     from . import provec  # loaded only by the paths that search or subtract product vectors
-    sub = {"residuals": {}}
     try:
-        remainder, phis, psis = provec.subtract_product_projectors(used)
+        remainder, phis, psis = provec.subtract_product_projectors(rho)
         rem_ranks = densmat.rank_pattern(remainder)
-        part, _ = _decompose(remainder, rem_ranks, sub, {}, cert_tol, exact_only=True)
+        found = _product_vector_cone(remainder, rem_ranks)
     except (InputError, provec.DegenerateSystem, np.linalg.LinAlgError):
         return None
-    if part is None:
+    if found is None or found[1] is None:
         return None
-    sd = post(sep.SeparableDecomposition(2, 3, np.vstack([phis, part.phis]),
-                                         np.vstack([psis, part.psis])))
+    (hits, _), (fit_phis, fit_psis, fit_residual) = found
+    sd = sep.SeparableDecomposition(2, 3, np.vstack([phis, fit_phis]), np.vstack([psis, fit_psis]))
     if sd.residual(rho) > cert_tol:
         return None
     return sd, {"method": "product_subtraction", "subtractions": len(phis),
-                "remainder": {"case": "({},{})".format(*rem_ranks), **sub["solver"]}}
+                "remainder": {"case": "({},{})".format(*rem_ranks), "method": "product_vector_cone",
+                              "hits": len(hits), "fit_residual": fit_residual}}
 
 
 def _decompose(rho: DensityMatrix, ranks, report: dict, timings: dict, cert_tol: float,
-               budget: int = 12, seed: int = 0, exact_only: bool = False):
+               budget: int = 12, seed: int = 0):
     """The dispatch of a PPT 2xN state of rank > 1 on its rank pattern
     ``ranks``: (sd, None) with a product decomposition of rho still to be
     certified, or (None, (verdict, note)).  Writes ``report["solver"]``, the
-    family residuals and the canonical and extraction times.  With
-    ``exact_only`` the searching branches (the (5,6) grid, the product
-    subtraction and the descent) do not run: (None, None) there."""
+    family residuals and the canonical and extraction times."""
     sol = rejection = None  # rejection: (verdict, note) reported when the solver accepts nothing
     search = None  # ((hits, isolated), fit) of _product_vector_cone, where it ran
     try:
@@ -245,20 +242,18 @@ def _decompose(rho: DensityMatrix, ranks, report: dict, timings: dict, cert_tol:
                                   f"fit rho only to {fit[2]:.3e}; no other product vector can "
                                   "enter a decomposition, so no solver runs; entangled_range "
                                   "is not reported on this path")
+            # on 2x3 PPT is separability: subtract product projectors down to a
+            # complete pattern, and descend only where that fails
+            found = _product_subtraction(rho, ranks, cert_tol)
+            if found is not None:
+                report["solver"] = found[1]
+                return found[0], None
             cf, used, post, ep = frame or _frame(rho, timings)
-            if exact_only:
-                return None, None
             if cf.n == 4 and (ep.p, ep.p_tilde) == (1, 2):
                 sol = twoxn.solve_extension_56(ep)
                 rejection = (VERDICT_UNDECIDED,
                              "no completion found on the search grid; existence not excluded")
             else:
-                # on 2x3 PPT is separability: subtract product projectors down to a
-                # pattern an exact branch decides, and descend only where that fails
-                found = _product_subtraction(used, post, rho, ranks, cert_tol)
-                if found is not None:
-                    report["solver"] = found[1]
-                    return found[0], None
                 sol = twoxn.solve_extension_general(ep, budget=budget, seed=seed)
                 rejection = (VERDICT_UNDECIDED,
                              f"best completion residual {sol.normality_residual:.3e}")
@@ -266,8 +261,7 @@ def _decompose(rho: DensityMatrix, ranks, report: dict, timings: dict, cert_tol:
         return done.args
     except _Deflated as deflated:  # decide rho on its B support, then lift psi = iso psi'
         reduced, iso = deflated.args
-        sd, rejection = _decompose(reduced, ranks, report, timings, cert_tol, budget, seed,
-                                   exact_only)
+        sd, rejection = _decompose(reduced, ranks, report, timings, cert_tol, budget, seed)
         return sd and sep.SeparableDecomposition(2, rho.dim_b, sd.phis, sd.psis @ iso.T), rejection
     report["solver"] = _solver_dict(sol)
     if search is not None:
@@ -470,8 +464,9 @@ def cmd_ffcnm_verify(args) -> int:
     cert = sep.certificate_from_json_dict(_read_json(args.certificate)[0])
     rho = _load_state(args.state, args.tol)
     check = sep.verify_certificate(cert, rho, tol=args.tol * 10)
-    fam = sep.build_ffcnm(cert)
-    fam_report = sep.verify_ffcnm(fam, cert.gram_system(), tol=args.tol * 10)
+    fam = sep.build_ffcnm(cert)  # its diagnostics hold the normality and commutation residuals
+    fam_report = sep.FfcnmReport(fam.diagnostics["normality"], fam.diagnostics["commutation"],
+                                 sep.relation_residual(fam, cert.gram_system()), args.tol * 10)
     payload = {
         "certificate": {"max_deviation": check.max_deviation, "passed": check.passed},
         "family": {
@@ -541,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--budget", type=_int_at_least(1), default=12,
                    help="starts of the multi-start descent, run where no exact path, "
-                        "product-vector fit or product subtraction decides (default 12)")
+                        "product-vector fit or product subtraction decides: kernel dims "
+                        "k + k' < N, or a search that is not isolated (default 12)")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--strict", action="store_true", help="halve all tolerances")
     p.add_argument("--timings", action="store_true",

@@ -10,12 +10,13 @@ deficient.  By the kernel dimensions (k, k') of a 2xN state:
 * k + k' < N: every alpha works, a continuum (DegenerateSystem).
 * k + k' = N: one determinant D(alpha, conj alpha) = 0, paired with its
   conjugate; more than k^2 + k'^2 validated hits raise DegenerateSystem.
-* k = N - 1 < k + k': two fixed real combinations of the k' rows each make
-  a determinant with the k rows, and the two form the pair (the first and
-  its conjugate where they are degenerate); validation against the full
-  stack keeps the hits, at most 2k.
+* k + k' > N, 0 < k < N: two fixed real d x k' combinations of the k'
+  rows, d = N - k, each complete the k rows to a determinant, and the two
+  form the pair (the first and its conjugate where they are degenerate);
+  validation against the full stack keeps the hits, at most 2dk.  Other k
+  raise UnsupportedRankPattern.
 
-One enumeration serves both cases: the roots of the determinant of the
+One enumeration serves every case: the roots of the determinant of the
 pair's Sylvester matrix in z = conj(alpha), from a companion pencil, seed a
 Newton polish.  The seeds contain every product vector of rho's kind in
 exact arithmetic.  In floating point two nearly coinciding A vectors can
@@ -210,10 +211,10 @@ def search_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> ProductVect
 
     Dispatch on the kernel dimensions (k, k'): k + k' < N is a continuum
     (reported via DegenerateSystem).  For k + k' = N (a single determinant
-    condition) and for the overdetermined case k = N - 1 (two fixed real
-    combinations of the k' PT rows), _candidates enumerates the roots of
-    det S, S the Sylvester matrix of a pair of determinants, and validation
-    against all k + k' rows keeps the hits.
+    condition) and for k + k' > N with 0 < k < N (two fixed real d x k'
+    combinations of the PT rows, d = N - k), _candidates enumerates the
+    roots of det S, S the Sylvester matrix of a pair of determinants, and
+    validation against all k + k' rows keeps the hits.
 
     The seeds contain every product vector of rho's kind in exact
     arithmetic, but rounding can lose one: two A vectors nearly coinciding
@@ -240,7 +241,7 @@ def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductV
 
 
 _PT_ROW_WEIGHTS_SEED = 1997
-# default_rng(_PT_ROW_WEIGHTS_SEED).normal(size=16): k' <= 8 needs no numpy.random
+# default_rng(_PT_ROW_WEIGHTS_SEED).normal(size=16): 2 d k' <= 16 needs no numpy.random
 _PT_ROW_DRAWS = (0.7868741785626053, -0.16100651348286793, -0.08270091370151621,
                  0.3966891798444247, 1.4076388459410376, 0.7459415724415613,
                  -0.38901419888360933, 0.9909583923891848, -0.6385157712293822,
@@ -250,11 +251,11 @@ _PT_ROW_DRAWS = (0.7868741785626053, -0.16100651348286793, -0.08270091370151621,
 
 
 @functools.lru_cache(maxsize=None)
-def _pt_row_weights(kp: int) -> np.ndarray:
-    """The two fixed real weight rows (2 x 1 x k'), each folding the PT rows into one."""
-    draws = (_PT_ROW_DRAWS[:2 * kp] if 2 * kp <= len(_PT_ROW_DRAWS)
-             else np.random.default_rng(_PT_ROW_WEIGHTS_SEED).normal(size=2 * kp))
-    w = np.array(draws).reshape(2, 1, kp)
+def _pt_row_weights(d: int, kp: int) -> np.ndarray:
+    """The two fixed real weight blocks (2 x d x k'), each folding the PT rows into d."""
+    draws = (_PT_ROW_DRAWS[:2 * d * kp] if 2 * d * kp <= len(_PT_ROW_DRAWS)
+             else np.random.default_rng(_PT_ROW_WEIGHTS_SEED).normal(size=2 * d * kp))
+    w = np.array(draws).reshape(2, d, kp)
     w.setflags(write=False)
     return w
 
@@ -271,7 +272,7 @@ def _search(blocks, tol):
         raise DegenerateSystem(
             f"kernel dims ({k},{kp}) leave a null space at every alpha", continuum=True)
 
-    if k + kp > n and k != n - 1:
+    if k + kp > n and not 0 < k < n:
         raise UnsupportedRankPattern(
             f"kernel dims ({k},{kp}) on 2x{n} are outside the implemented cases")
 
@@ -288,7 +289,7 @@ def _search(blocks, tol):
                       for u in unique)
         if not dup:
             unique.append(h)
-    cap = 2 * k if k + kp > n else k * k + kp * kp
+    cap = 2 * (n - k) * k if k + kp > n else k * k + kp * kp
     if len(unique) > cap:
         raise DegenerateSystem(
             f"{len(unique)} isolated-looking solutions exceed the degree bound {cap}; "
@@ -314,13 +315,14 @@ def _candidates(blocks, k, kp):
     D(alpha, z) = sum c_ij alpha^i z^j that vanish at every hit with
     z = conj(alpha): for k + k' = N the determinant D of the square
     constraint stack and its conjugate E(alpha, z) = sum conj(c_ij) z^i
-    alpha^j; for k = N - 1 < k + k' the determinants D_1, D_2 that the k rows
-    complete with two fixed real combinations of the PT rows, linear in z.
+    alpha^j; for k + k' > N the determinants D_1, D_2 that the k rows
+    complete with two fixed real d x k' combinations of the PT rows,
+    d = N - k, of degree d in z.
     Trailing coefficients below 1e-12 of every D's scale are trimmed (in z
     only for D: the folds keep theirs, without which S could be empty).
 
     A hit's alpha is a root of det S(alpha), S the Sylvester matrix in z of
-    the pair, of degree da^2 + dz^2 <= k^2 + k'^2 for (D, E) and 2 da <= 2k
+    the pair, of degree da^2 + dz^2 <= k^2 + k'^2 for (D, E) and 2 d da <= 2dk
     for (D_1, D_2).  The eigenvalues of S's companion pencil, accurate where
     roots of det S's coefficients are not, seed _polished_roots on every D;
     alpha = infinity is one more candidate.  A D vanishing identically (below
@@ -332,8 +334,8 @@ def _candidates(blocks, k, kp):
     psi0, psi1, phi0, phi1 = blocks
     folded = k + kp > psi0.shape[1]
     if folded:
-        w = _pt_row_weights(kp)
-        blocks, kp = (psi0, psi1, w @ phi0, w @ phi1), 1
+        w = _pt_row_weights(psi0.shape[1] - k, kp)
+        blocks, kp = (psi0, psi1, w @ phi0, w @ phi1), w.shape[1]
     coeffs = _det_bipoly(*blocks, k, kp).reshape(-1, k + 1, kp + 1)  # D, or D_1 and D_2
     mag = np.abs(coeffs)
     scale = mag.max(axis=(1, 2))
@@ -510,12 +512,12 @@ def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
     """Edge iff no product vector sits in the range with its conjugate partner
     in the PT range.  Only meaningful for PPT states.
 
-    search_product_vectors searches the determinant case k + k' = N (for
-    every k') and the case k = N - 1 < k + k'; there 'not_edge' is exact,
-    and 'edge' is exact where the search is isolated: no hit from a search
-    that is not isolated is 'unknown'.  A continuum of hits is 'not_edge'
-    once one witness is found (any f when there are no kernel constraints at
-    all), else 'unknown'; other kernel dimensions are 'unknown'."""
+    search_product_vectors searches k + k' = N and every k + k' > N with
+    0 < k < N; there 'not_edge' is exact, and 'edge' is exact where the
+    search is isolated: no hit from a search that is not isolated is
+    'unknown'.  A continuum of hits is 'not_edge' once one witness is found
+    (any f when there are no kernel constraints at all), else 'unknown';
+    other kernel dimensions (k = 0 or k >= N) are 'unknown'."""
     ppt, min_eig = densmat.is_ppt(rho)
     if not ppt:
         raise InputError(f"edge test needs a PPT state (min PT eigenvalue {min_eig:.3e})")

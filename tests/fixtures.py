@@ -108,19 +108,20 @@ def separable_56(seed, gap=None):
     return rho, sd
 
 
-def separable_66(seed, gap):
-    """Six product pairs on 2x4, rank pattern (6,6), the second of them on
-    the A vector (1, alpha_0 + gap u), |u| = 1, of the first, (1, alpha_0):
-    at gap = 0 the two share it, so that hit has a 2-dim f space."""
+def separable_66(seed, gap, n=4, k=6):
+    """Six product pairs on 2x4, rank pattern (6,6) (k pairs on 2xn, (k,k)),
+    the second of them on the A vector (1, alpha_0 + gap u), |u| = 1, of the
+    first, (1, alpha_0): at gap = 0 the two share it, so that hit has a
+    2-dim f space."""
     rng = np.random.default_rng(seed)
-    phis = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    phis = rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2))
     u = complex(*rng.normal(size=2))
     phis[1] = (1, phis[0, 1] / phis[0, 0] + gap * u / abs(u))
-    psis = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-    sd = sep.SeparableDecomposition(2, 4, phis, psis)
+    psis = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    sd = sep.SeparableDecomposition(2, n, phis, psis)
     tr = np.trace(sd.density()).real
-    sd = sep.SeparableDecomposition(2, 4, phis / tr ** 0.25, psis / tr ** 0.25)
-    return densmat.validate_density(sd.density(), 2, 4), sd
+    sd = sep.SeparableDecomposition(2, n, phis / tr ** 0.25, psis / tr ** 0.25)
+    return densmat.validate_density(sd.density(), 2, n), sd
 
 
 def rank57_state(seed, planted=False, iters=250):
@@ -181,23 +182,23 @@ def rank57_state(seed, planted=False, iters=250):
     return dm, (e, f)
 
 
-def _ppt_alternating(seed, rank, rank_pt, iters):
-    """PPT 2x4 state with rank pattern (rank, rank_pt) via alternating
+def _ppt_alternating(seed, rank, rank_pt, iters, n=4):
+    """PPT 2xn state with rank pattern (rank, rank_pt) via alternating
     projections between the rank-``rank`` states and the states whose
     partial transpose has rank ``rank_pt``.  Returns None when they miss."""
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank))
+    g = rng.normal(size=(2 * n, rank)) + 1j * rng.normal(size=(2 * n, rank))
     x = g @ g.conj().T
     x /= np.trace(x).real
     for _ in range(iters):
         x = psd_rank_project(x, rank)
         x /= np.trace(x).real
-        y = densmat.partial_transpose(x, "A", dims=(2, 4))
-        x = densmat.partial_transpose(psd_rank_project(y, rank_pt), "A", dims=(2, 4))
+        y = densmat.partial_transpose(x, "A", dims=(2, n))
+        x = densmat.partial_transpose(psd_rank_project(y, rank_pt), "A", dims=(2, n))
     x = psd_rank_project((x + x.conj().T) / 2, rank)
     x /= np.trace(x).real
     try:
-        dm = densmat.validate_density(x, 2, 4, tol=1e-7)
+        dm = densmat.validate_density(x, 2, n, tol=1e-7)
     except densmat.InputError:
         return None
     if densmat.rank_pattern(dm) != (rank, rank_pt) or not densmat.is_ppt(dm)[0]:

@@ -217,15 +217,16 @@ def test_grid_survives_a_long_descent_with_vanishing_damping():
 
 
 SOLVER_MISSES = ["sep56_7_0.json", "sep56_2014_2.json", "sep56_2019_5.json",
-                 "mix_2x4_k6_1817_1.json"]
+                 "mix_2x4_k6_1817_1.json", "mix_2x5_k7_2015_4.json"]
 
 
 @pytest.mark.parametrize("name", SOLVER_MISSES)
 def test_product_vector_cone_certifies_the_solver_misses(name):
     """Separable states that the (5,6) grid or the 12-start descent left
     undecided, from ``bench/inputs.py``: ``ppt-2x4`` seeds 7, 2014 and 2019
-    (``sep56#0``, ``#2``, ``#5``) and ``certify-2xN`` seed 1817
-    (``mix-2x4-k6#1``).  The product-vector search is complete on their
+    (``sep56#0``, ``#2``, ``#5``) and ``certify-2xN`` seeds 1817
+    (``mix-2x4-k6#1``) and 2015 (``mix-2x5-k7#4``, a (7,7) state the descent
+    left at 6.2e-3).  The product-vector search is complete on their
     patterns, so the fit over its hits decomposes them, and the certificate
     is re-verified like every other."""
     rho = densmat.state_from_json_dict(json.loads(Path(__file__).with_name(name).read_text()))
@@ -246,6 +247,17 @@ def test_product_vector_cone_certifies_every_random_246_mixture():
         report = cli.analyze_state(states.random_separable(2, 4, 6, seed=seed)[0])
         assert report["verdict"] == "separable_certified", seed
         assert report["solver"]["method"] == "product_vector_cone", seed
+
+
+def test_product_vector_cone_certifies_every_folded_mixture():
+    """random_separable(2, N, K) has kernel dims (2N - K, 2N - K), so its
+    PT rows fold into d = K - N >= 2 rows: 2x5 K = 7, 2x6 K = 8 and 2x7
+    K = 9, 10, seeds 0-29, are all certified from their hits."""
+    for n, terms in ((5, 7), (6, 8), (7, 9), (7, 10)):
+        for seed in range(30):
+            report = cli.analyze_state(states.random_separable(2, n, terms, seed=seed)[0])
+            assert report["verdict"] == "separable_certified", (n, terms, seed)
+            assert report["solver"]["method"] == "product_vector_cone", (n, terms, seed)
 
 
 def _embedded(rho, n_big, seed):
@@ -413,6 +425,36 @@ def test_near_coincident_a_vectors_are_not_isolated_and_still_certified(maker, s
     report = cli.analyze_state(rho)
     assert report["verdict"] == "separable_certified"
     assert report["solver"]["method"] == method
+
+
+def test_near_pair_77_states_are_certified_and_never_take_the_no_solver_exit():
+    """Separable 2x5 (7,7) states, kernel dims (3, 3), with two A vectors
+    ``gap`` apart: the search folds the PT rows into d = 2 rows.  From
+    gap 1e-3 down it is not isolated, so a fit that misses proves nothing,
+    and every state is certified, by the cone fit or by the descent."""
+    from gramsep import provec
+
+    for gap in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for seed in range(40):
+            rho = fixtures.separable_66(seed, gap, n=5, k=7)[0]
+            assert densmat.rank_pattern(rho) == (7, 7)
+            if gap <= 1e-3:
+                assert not provec.search_product_vectors(rho).isolated, (seed, gap)
+            assert cli.analyze_state(rho)["verdict"] == "separable_certified", (seed, gap)
+
+
+@pytest.mark.parametrize("pattern", [(7, 6), (8, 6)])
+def test_ppt_2x5_states_of_unequal_kernel_dims_are_never_entangled(pattern):
+    """PPT 2x5 states of kernel dims (3, 4) and (2, 4), from alternating
+    projections, fold the PT rows into d = 2 and 3 rows: the complete
+    search finds no product vector, and the state stays ppt_undecided."""
+    made = [rho for rho in (fixtures._ppt_alternating(seed, *pattern, 600, n=5)
+                            for seed in range(8)) if rho is not None]
+    assert len(made) >= 4
+    for rho in made:
+        report = cli.analyze_state(rho)
+        assert report["verdict"] == "ppt_undecided"
+        assert report["solver"]["method"] == "product_vector_cone"
 
 
 def test_shared_a_vector_66_state_is_certified_by_the_solver():
@@ -630,6 +672,26 @@ def test_ffcnm_verify_subcommand(tmp_path, capsys):
     assert payload["family"]["normality"] < 1e-9
 
 
+def test_ffcnm_verify_computes_each_family_residual_once(tmp_path, capsys, monkeypatch):
+    """A three-term 3x3 certificate has a family of three matrices, so three
+    normality and three commutation residuals; build_ffcnm computes them,
+    and the report reads them from its diagnostics."""
+    rho, sd = states.random_separable(3, 3, 3, seed=2)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(sep.certificate_to_json_dict(
+        sep.decomposition_to_certificate(sd))))
+    state_path = write_state(tmp_path, "s.json", rho)
+    calls = {"normality_residual": 0, "commutation_residual": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(sep, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(sep, name, counted)
+    code, out, _ = run_cli(capsys, "ffcnm-verify", str(cert_path), state_path)
+    assert code == 0 and json.loads(out)["passed"]
+    assert calls == {"normality_residual": 3, "commutation_residual": 3}
+
+
 def test_ffcnm_verify_input_errors(tmp_path, capsys):
     rho, sd = states.random_separable(2, 2, 3, seed=2)
     payload = sep.certificate_to_json_dict(sep.decomposition_to_certificate(sd))
@@ -805,7 +867,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         "import sys",
         "import fixtures",
         "from gramsep import cli, states",
-        "general = cli.analyze_state(states.random_separable(2, 5, 7, seed=1)[0])",
+        "general = cli.analyze_state(states.random_separable(2, 4, 7, seed=1)[0])",
         "grid = cli.analyze_state(fixtures.separable_56(1, gap=1e-5)[0])",
         "print(general['solver']['method'], grid['solver']['method'])",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
@@ -820,9 +882,11 @@ def test_cli_import_and_analysis_leave_records_and_generators_unloaded(tmp_path)
     # a one-shot call pays numpy's import and the analysis: no module-level
     # dataclass generation, no OpenSSL until a digest is taken, no numpy.random
     # for the fixed combination weights of a certified state or the fixed PT
-    # row weights of a product-vector search, and neither the product-vector
-    # search nor the generators unless the command uses them
+    # row weights of a product-vector search (a 2x5 (7,7) fold takes 12 of
+    # the 16 stored draws), and neither the product-vector search nor the
+    # generators unless the command uses them
     path = write_state(tmp_path, "s.json", states.random_separable(2, 3, 4, seed=1)[0])
+    folded = write_state(tmp_path, "f.json", states.random_separable(2, 5, 7, seed=1)[0])
     edge = write_state(tmp_path, "h.json", states.horodecki97(0.3))
     root = Path(__file__).resolve().parents[1]
     code = "\n".join([
@@ -834,12 +898,17 @@ def test_cli_import_and_analysis_leave_records_and_generators_unloaded(tmp_path)
         "print(sorted(m for m in watched if m in sys.modules))",
         f"code = cli.main(['analyze', {path!r}, '-o', {str(tmp_path / 'r.json')!r}])",
         "print(code, sorted(m for m in watched if m in sys.modules))",
+        f"code = cli.main(['analyze', {folded!r}, '-o', {str(tmp_path / 'f.json')!r}])",
+        "print(code, 'numpy.random' in sys.modules)",
         f"code = cli.main(['provec', {edge!r}, '-o', {str(tmp_path / 'p.json')!r}])",
         "print(code, 'numpy.random' in sys.modules)",
     ])
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.splitlines() == ["[]", "0 ['hashlib']", "0 False"]
+    assert out.stdout.splitlines() == ["[]", "0 ['hashlib']", "0 False", "0 False"]
     assert json.loads((tmp_path / "r.json").read_text())["verdict"] == "separable_certified"
+    # a (7,7) state on 2x5: the search folds the PT rows into d = 2 rows
+    solver = json.loads((tmp_path / "f.json").read_text())["solver"]
+    assert solver["method"] == "product_vector_cone" and solver["hits"] == 7
     assert json.loads((tmp_path / "p.json").read_text())["hits"] == []

@@ -525,23 +525,28 @@ def spy(monkeypatch, name):
 
 
 def test_pencil_case_seeds_from_a_2k_pencil_and_finds_every_planted_vector(monkeypatch):
-    """(N+1)-term mixtures on 2xN, kernel dims (N-1, N-1): the seeds are the
-    eigenvalues of one pencil of size 2k = 2N - 2, the only Sylvester matrix
-    formed is the 2x2 one of the two folds (never the fallback to the first
-    fold and its conjugate), and every planted product vector is a hit."""
+    """(N+d)-term mixtures on 2xN, kernel dims (k, k) with k = N - d: the
+    PT rows fold into d rows, the seeds are the eigenvalues of one pencil of
+    size 2dk (2k = 2N - 2 for the (N+1)-term mixtures), the only Sylvester
+    matrix formed is the 2d x 2d one of the two folds (never the fallback to
+    the first fold and its conjugate), and every planted product vector is a
+    hit."""
     pencils = spy(monkeypatch, "_pencil_eigenvalues")
     sylvesters = spy(monkeypatch, "_sylvester")
-    for n in (3, 4, 5, 6):
-        for seed in range(10000, 10100):
-            rho, sd = states.random_separable(2, n, n + 1, seed=seed)
-            pencils.clear()
-            sylvesters.clear()
-            hits = find_product_vectors(rho)
-            assert [sum(degrees) for _, degrees in pencils] == [2 * (n - 1)], (n, seed)
-            assert [(p.shape, q.shape) for p, q in sylvesters] == [((n, 2), (n, 2))], (n, seed)
-            for phi, psi in zip(sd.phis, sd.psis):
-                gen = np.kron(phi, psi)
-                assert max(overlap(h.product_vector(), gen) for h in hits) > 1 - 1e-6, (n, seed)
+    cases = [(n, 1, seed) for n in (3, 4, 5, 6) for seed in range(10000, 10100)]
+    cases += [(n, d, seed) for n, d in ((5, 2), (6, 2), (7, 2), (7, 3)) for seed in range(10)]
+    for n, d, seed in cases:
+        k = n - d
+        rho, sd = states.random_separable(2, n, n + d, seed=seed)
+        pencils.clear()
+        sylvesters.clear()
+        hits = find_product_vectors(rho)
+        assert [sum(degrees) for _, degrees in pencils] == [2 * d * k], (n, d, seed)
+        fold = (k + 1, d + 1)
+        assert [(p.shape, q.shape) for p, q in sylvesters] == [(fold, fold)], (n, d, seed)
+        for phi, psi in zip(sd.phis, sd.psis):
+            gen = np.kron(phi, psi)
+            assert max(overlap(h.product_vector(), gen) for h in hits) > 1 - 1e-6, (n, d, seed)
 
 
 def test_pencil_case_falls_back_to_the_resultant_only_where_det_s_vanishes(monkeypatch):
@@ -580,14 +585,17 @@ def test_pencil_case_with_determinants_constant_in_alpha():
 
 
 def test_pt_row_weights_are_the_generators_draws():
-    """The stored draws are default_rng(1997)'s bits for every k' they cover;
-    beyond them the generator itself gives the weights, not an error."""
-    cover = len(provec._PT_ROW_DRAWS) // 2
-    for kp in range(1, cover + 2):
-        want = np.random.default_rng(provec._PT_ROW_WEIGHTS_SEED).normal(size=(2, 1, kp))
-        got = provec._pt_row_weights(kp)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), kp
-        assert provec._pt_row_weights(kp) is got and not got.flags.writeable
+    """The stored draws are default_rng(1997)'s bits for every fold size
+    (d, k') they cover; beyond them the generator itself gives the weights,
+    not an error."""
+    stored = len(provec._PT_ROW_DRAWS)
+    sizes = [(d, kp) for d in range(1, 5) for kp in range(1, 10)]
+    assert {2 * d * kp <= stored for d, kp in sizes} == {True, False}
+    for d, kp in sizes:
+        want = np.random.default_rng(provec._PT_ROW_WEIGHTS_SEED).normal(size=(2, d, kp))
+        got = provec._pt_row_weights(d, kp)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, kp)
+        assert provec._pt_row_weights(d, kp) is got and not got.flags.writeable
 
 
 def test_determinant_equation_57_pattern_guard():
@@ -620,11 +628,19 @@ def test_rounding_level_determinants_are_a_continuum():
 
 
 def test_edge_verdict_unknown_outside_completeness_domain():
+    """The PT-flipped (5,6) edge state, (6,5), is searched with its kernel
+    dims (2, 3) and reads 'edge' like the unflipped state.  A rank-N state
+    with a PT kernel (k = N) stays outside the search: 'unknown'."""
     dm = fixtures.ppt56_state(0)
     assert dm is not None
     flipped = densmat.validate_density(densmat.partial_transpose(dm, "A"), 2, 4)
     assert densmat.rank_pattern(flipped) == (6, 5)
-    assert edge_state_test(flipped).verdict == "unknown"
+    assert edge_state_test(flipped).verdict == edge_state_test(dm).verdict == "edge"
+    rank_n = states.random_separable(2, 4, 4, seed=3)[0]
+    assert densmat.rank_pattern(rank_n) == (4, 4)
+    with pytest.raises(UnsupportedRankPattern):
+        find_product_vectors(rank_n)
+    assert edge_state_test(rank_n) == ("unknown", None, ())
 
 
 def test_edge_verdict_unknown_where_no_hit_comes_from_a_search_that_is_not_isolated(
