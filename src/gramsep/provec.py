@@ -18,13 +18,15 @@ deficient.  By the kernel dimensions (k, k') of a 2xN state:
 
 One enumeration serves every case: the roots of the determinant of the
 pair's Sylvester matrix in z = conj(alpha), from a companion pencil, seed a
-Newton polish.  The seeds contain every product vector of rho's kind in
-exact arithmetic.  In floating point two nearly coinciding A vectors can
-lose one, so search_product_vectors says whether the search is isolated:
-far from every such degeneracy.  Where it is, every term |e, f> of a product
-decomposition of rho is a hit, so rho is separable iff it is a nonnegative
-combination of the hit projectors: fit_product_cone fits it by one real
-least-squares solve.
+Newton polish: where that determinant is well scaled, each hit has a seed
+of its own at rounding level and only the seeds that nearly solve the pair
+are polished; elsewhere every seed is.  The seeds contain every product
+vector of rho's kind in exact arithmetic.  In floating point two nearly
+coinciding A vectors can lose one, so search_product_vectors says whether
+the search is isolated: far from every such degeneracy.  Where it is, every
+term |e, f> of a product decomposition of rho is a hit, so rho is separable
+iff it is a nonnegative combination of the hit projectors: fit_product_cone
+fits it by one real least-squares solve.
 Where k + k' < N, subtract_product_projectors removes product projectors
 at one fixed alpha until k + k' >= N, keeping rho and rho^{T_A} positive.
 """
@@ -201,7 +203,8 @@ class ProductVectorSearch(NamedTuple):
 
 # Below this, a margin of the search (det S's peak coefficient over its scale,
 # a rejected candidate's residual, the second-smallest singular value of a
-# hit's stack) leaves it open whether a hit was lost to rounding
+# hit's stack) leaves it open whether a hit was lost to rounding; above it,
+# det S's margin also lets _seeds_to_polish drop the seeds that are no hit
 _ISOLATION_MARGIN = 1e-3
 
 
@@ -324,9 +327,10 @@ def _candidates(blocks, k, kp):
     A hit's alpha is a root of det S(alpha), S the Sylvester matrix in z of
     the pair, of degree da^2 + dz^2 <= k^2 + k'^2 for (D, E) and 2 d da <= 2dk
     for (D_1, D_2).  The eigenvalues of S's companion pencil, accurate where
-    roots of det S's coefficients are not, seed _polished_roots on every D;
-    alpha = infinity is one more candidate.  A D vanishing identically (below
-    1e-12 of the Hadamard bound of its rows) or det S doing so (its
+    roots of det S's coefficients are not, seed _polished_roots on every D
+    (those that _seeds_to_polish keeps at this margin); alpha = infinity is
+    one more candidate.  A D vanishing identically (below 1e-12 of the
+    Hadamard bound of its rows) or det S doing so (its
     coefficients, from deg + 1 roots of unity, below 1e-9 of the product of
     its rows' scales) makes the pair degenerate: the folds fall back to
     (D_1, E_1) with margin 0, and a degenerate (D, E) is a curve of roots
@@ -363,16 +367,17 @@ def _candidates(blocks, k, kp):
             "the resultant of the determinant and its conjugate vanishes "
             "identically: the self-consistent roots form a curve", continuum=True)
     seeds = _pencil_eigenvalues(sylvester, degrees) if m > 1 else np.zeros(0, complex)
-    return _Margined(_polished_roots(coeffs, scale, seeds, k + kp), weight * ratio)
+    terms = _scaled_terms(coeffs, scale)
+    margin = weight * ratio
+    seeds = _seeds_to_polish(terms, scale, seeds, k + kp, margin)
+    return _Margined(_polished_roots(terms, scale, seeds, k + kp), margin)
 
 
-def _polished_roots(coeffs, scale, al, degree):
-    """Candidates (alpha, at_infinity): the seeds ``al`` polished by Gauss-Newton
-    on every D_c(alpha, conj alpha) = sum coeffs[c, i, j] alpha^i conj(alpha)^j
-    at once and kept where every |D_c| is small (on one D_c alone, a nearly
-    singular Jacobian left hits at 1e-10 to 1e-7), and alpha = infinity."""
-    # every D, dD/dalpha and dD/dz, divided by the scale of its D, as
-    # coefficients of the monomials alpha^i z^j
+def _scaled_terms(coeffs, scale):
+    """The map alpha -> every D_c, dD_c/dalpha and dD_c/dz at z = conj(alpha),
+    each divided by D_c's scale (conditions x 3 x len(alpha)), for
+    D_c(alpha, z) = sum coeffs[c, i, j] alpha^i z^j."""
+    # as coefficients of the monomials alpha^i z^j
     ia, iz = np.arange(coeffs.shape[1]), np.arange(coeffs.shape[2])
     tensor = np.zeros((len(coeffs), 3) + coeffs.shape[1:], dtype=complex)
     tensor[:, 0] = coeffs
@@ -381,9 +386,41 @@ def _polished_roots(coeffs, scale, al, degree):
     tensor /= scale[:, None, None, None]
 
     def terms(al):
-        """Values and derivatives at every entry of al (conditions x 3 x len(al))."""
         return ((al[:, None] ** ia) @ tensor * al.conj()[:, None] ** iz).sum(-1)
+    return terms
 
+
+def _root_bound(scale, al, degree):
+    """Per condition and alpha, the size that |D_c| over its scale is
+    measured against: 1/scale_c, or max(1, |alpha|)^(degree + 2) where the
+    powers of alpha outgrow it."""
+    return np.maximum(1 / scale[:, None], np.maximum(1.0, np.abs(al)) ** (degree + 2))
+
+
+def _seeds_to_polish(terms, scale, seeds, degree, margin):
+    """The seeds that _polished_roots needs.  Where det S's ``margin``
+    exceeds _ISOLATION_MARGIN, its pencil eigenvalues are accurate and every
+    hit has a seed of its own, at rounding level of the acceptance test.  A
+    seed where some |D_c| over its scale exceeds _ISOLATION_MARGIN times
+    _root_bound is then a root of det S that is no hit: Gauss-Newton could
+    only drag it onto a hit already seeded, or out to no hit, so it is
+    dropped.  At a smaller margin (nearly coinciding A vectors, or the
+    (D_1, E_1) fallback at 0) every seed is kept: one far off may be all
+    that is left of a hit."""
+    if margin <= _ISOLATION_MARGIN:
+        return seeds
+    with np.errstate(all="ignore"):
+        bound = _ISOLATION_MARGIN * _root_bound(scale, seeds, degree)
+        return seeds[(np.abs(terms(seeds)[:, 0]) <= bound).all(0)]
+
+
+def _polished_roots(terms, scale, al, degree):
+    """Candidates (alpha, at_infinity): the seeds ``al`` polished by Gauss-Newton
+    on every D_c(alpha, conj alpha) at once (``terms``, from _scaled_terms)
+    and kept where every |D_c| over its scale is within 1e-9 times
+    _root_bound (on one D_c alone, a nearly singular Jacobian left hits at
+    1e-10 to 1e-7), and alpha = infinity.  Every seed is polished, also one
+    that would pass unpolished: accepting those as they are loses hits."""
     # Gauss-Newton on F(x, y) = D(x+iy, x-iy) = 0 for every condition, at all
     # live seeds at once: the normal equations P step + Q conj(step) = G in
     # complex form.  For one condition it is the real 2x2 Newton, with
@@ -408,8 +445,7 @@ def _polished_roots(coeffs, scale, al, degree):
             moving = np.abs(det) >= 1e-300
             al[live] = a = np.where(moving, al[live] + step, al[live])
             live = live[moving & (np.abs(step) >= 1e-13 * np.maximum(1.0, np.abs(a)))]
-        grow = np.maximum(1.0, np.abs(al)) ** (degree + 2)
-        small = np.abs(terms(al)[:, 0]) <= 1e-9 * np.maximum(1 / scale[:, None], grow)
+        small = np.abs(terms(al)[:, 0]) <= 1e-9 * _root_bound(scale, al, degree)
         roots = al[small.all(0)]
     return [(a, False) for a in roots] + [(0j, True)]
 

@@ -92,6 +92,103 @@ def test_near_coincident_a_vectors_lose_hits_and_are_not_isolated(seed, gap, cou
     assert not found.isolated
 
 
+@pytest.mark.parametrize("seed, gap, count",
+                         [(0, 1e-6, 6), (8, 1e-6, 2), (10, 1e-5, 5), (20, 1e-5, 6), (37, 1e-6, 6)])
+def test_untrusted_searches_polish_every_seed(seed, gap, count):
+    """Near-coincident A vectors leave det S too small to trust its pencil,
+    so every seed is polished: a far seed may be all that is left of a hit.
+    Dropping the far seeds here too finds 0 planted vectors at (8, 1e-6) and
+    4 at (10, 1e-5)."""
+    rho, sd = fixtures.separable_56(seed, gap)
+    found = provec.search_product_vectors(rho)
+    assert _planted_found(rho, sd, found.hits) == count
+    assert found.isolated is False
+
+
+def _seed_counts(monkeypatch):
+    """Spy on the seed drop: (pencil seeds, seeds polished) per search."""
+    counts = []
+    seeds_to_polish = provec._seeds_to_polish
+
+    def spy(terms, scale, seeds, degree, margin):
+        kept = seeds_to_polish(terms, scale, seeds, degree, margin)
+        counts.append((seeds.size, kept.size))
+        return kept
+    monkeypatch.setattr(provec, "_seeds_to_polish", spy)
+    return counts
+
+
+@pytest.mark.parametrize("make, polished", [
+    (lambda: fixtures.ppt56_state(0), 0),
+    (lambda: states.horodecki97(0.5), 0),
+    (lambda: fixtures.separable_56(0)[0], 6),
+    (lambda: fixtures.horodecki_range_mixture(0.5, 0)[0], 1),
+], ids=["ppt56", "horodecki97", "separable_56", "range_mixture"])
+def test_trusted_searches_polish_only_the_hit_seeds(monkeypatch, make, polished):
+    """Where det S is well scaled only the seeds that end as hits reach the
+    Gauss-Newton loop: none on an edge state, one per hit elsewhere."""
+    rho = make()
+    counts = _seed_counts(monkeypatch)
+    reached = []
+    polish = provec._polished_roots
+
+    def spy(terms, scale, al, degree):
+        reached.append(al.size)
+        return polish(terms, scale, al, degree)
+    monkeypatch.setattr(provec, "_polished_roots", spy)
+    found = provec.search_product_vectors(rho)
+    assert found.isolated and len(found.hits) == polished
+    assert reached == [polished] and counts[0][0] == 6
+
+
+def test_seed_drop_takes_an_empty_pencil():
+    """A D without alpha leaves det S constant: no seed, only alpha = infinity."""
+    coeffs = np.array([[[1.0, 0.5]]], dtype=complex)
+    scale = np.abs(coeffs).max(axis=(1, 2))
+    terms = provec._scaled_terms(coeffs, scale)
+    kept = provec._seeds_to_polish(terms, scale, np.zeros(0, complex), 1, 1.0)
+    assert kept.size == 0
+    assert provec._polished_roots(terms, scale, kept, 1) == [(0j, True)]
+
+
+def _search_outcomes(corpus):
+    outcomes = []
+    for rho in corpus:
+        try:
+            found = provec.search_product_vectors(rho)
+        except (DegenerateSystem, UnsupportedRankPattern) as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append(([(h.alpha, h.at_infinity) for h in found.hits], found.isolated))
+    return outcomes
+
+
+def test_seed_drop_changes_no_search(monkeypatch):
+    """With the drop switched off (det S never trusted), every search of a
+    small corpus gives the same hits, isolated flags and exceptions."""
+    corpus = [states.random_separable(2, n, k, seed)[0]
+              for n in range(3, 6) for k in range(n + 1, 2 * n) for seed in range(4)]
+    corpus += [fixtures.separable_66(seed, gap)[0] for seed in range(4) for gap in (1e-2, 1e-4)]
+    corpus += [fixtures.rank57_state(seed)[0] for seed in (0, 1, 2, 4)]
+    counts = _seed_counts(monkeypatch)
+    dropped = _search_outcomes(corpus)
+    polished_with_drop = sum(kept for _, kept in counts)
+    counts.clear()
+    seeds_to_polish = provec._seeds_to_polish
+    monkeypatch.setattr(provec, "_seeds_to_polish",
+                        lambda terms, scale, seeds, degree, margin:
+                        seeds_to_polish(terms, scale, seeds, degree, 0.0))
+    kept_all = _search_outcomes(corpus)
+    assert polished_with_drop < sum(kept for _, kept in counts)
+    for i, (a, b) in enumerate(zip(dropped, kept_all)):
+        if isinstance(a, type) or isinstance(b, type):
+            assert a is b, i
+            continue
+        assert a[1] == b[1] and len(a[0]) == len(b[0]), i
+        for (x, x_inf), (y, y_inf) in zip(a[0], b[0]):
+            assert x_inf == y_inf and (x_inf or abs(x - y) <= 1e-9 * max(1.0, abs(x))), i
+
+
 def test_55_recovers_generators():
     for seed in (42, 7, 19):
         rho, sd = states.random_separable(2, 4, 5, seed=seed)
