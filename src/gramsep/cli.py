@@ -7,21 +7,26 @@ yields ``ppt_undecided`` rather than an entanglement verdict.
 
 The canonical frame [[A, B], [B^dag, I]] is built first only for r = r',
 the one rank pattern of the exact rank-N, self-transpose and (N+1, N+1)
-paths.  Next, a PPT 2xN state on which the product-vector search of rho
-itself can be complete (kernel dims k + k' >= N, 0 < k < N) is decomposed
-over its hits (``solver.method`` "product_vector_cone").  A fit over them
-certifies a separable state.  Where the search is isolated (no hit can
-have been lost to rounding), every term of a product decomposition is a
-hit, so no hit, or independent hit projectors that do not fit rho, rule
-one out: ``ppt_undecided`` without a solver.
+paths, in the first A basis of one ordered list (identity, swap, a fixed
+turn) whose lower block is nonsingular; the (N+1, N+1) path retries a
+completion at s = infinity in the next one.  Next, a PPT 2xN state on which
+the product-vector search of rho itself can be complete (kernel dims
+k + k' >= N, 0 < k < N) is decomposed over its hits (``solver.method``
+"product_vector_cone").  A fit over them certifies a separable state.
+Where the search is isolated (no hit can have been lost to rounding), every
+term of a product decomposition is a hit, so no hit, or independent hit
+projectors that do not fit rho, rule one out: ``ppt_undecided`` without a
+solver.
 
 A PPT 2x3 state with k + k' < 3 has product projectors subtracted from rho
 down to a remainder of k + k' = 3 or 4, which the same fit decomposes
 (``solver.method`` "product_subtraction"); on 2x3 PPT is separability, so
 the remainder stays separable.  Otherwise the frame follows for the
-solvers; where it finds a deficient B support, the dispatch restarts on the
-deflated state.  The descent takes k + k' < N on 2x2 and 2xN with N >= 4,
-and the searches that are not isolated and whose hits do not fit.
+solvers.  Where the identity's block is singular for a deficient B support,
+the dispatch restarts on the deflated state, and a support of dimension one
+(a pure product state among them) is decided there.  The descent takes
+k + k' < N on 2x2 and 2xN with N >= 4, and the searches that are not
+isolated and whose hits do not fit.
 """
 
 from __future__ import annotations
@@ -48,34 +53,6 @@ VERDICT_RANGE = "entangled_range"
 VERDICT_UNDECIDED = "ppt_undecided"
 
 
-def _schmidt_product_decomposition(rho: DensityMatrix, tol: float):
-    """Rank-one states: separable iff the vector has Schmidt rank one."""
-    dec = gram.spectral_decomposition(rho)
-    vec = dec.terms[0].reshape(rho.dim_a, rho.dim_b)
-    u, s, vh = np.linalg.svd(vec)
-    if s.size > 1 and s[1] > tol * s[0]:
-        return None
-    phi = u[:, 0] * s[0]
-    psi = vh[0]
-    return sep.SeparableDecomposition(rho.dim_a, rho.dim_b,
-                                      phi[None, :], psi[None, :])
-
-
-# a fixed real turn of the A basis, for states whose canonical frame fails
-_TURN = np.array([[0.6, -0.8], [0.8, 0.6]])
-
-
-def _turned(rho: DensityMatrix, u, back, post=lambda sd: sd):
-    """(cf, state, post) for rho in the A basis turned by the real orthogonal
-    u: ``back`` maps phi' of the turned state to phi = u^T phi', then ``post``
-    maps on."""
-    big = np.kron(u, np.eye(rho.dim_b))
-    state = densmat.validate_density(big @ rho.mat @ big.T, 2, rho.dim_b, tol=rho.tol,
-                                     unnormalized=rho.unnormalized)
-    return twoxn.canonical_form(state), state, lambda sd: post(sep.SeparableDecomposition(
-        2, rho.dim_b, back(sd.phis), sd.psis))
-
-
 class _Decided(Exception):
     """Ends _decompose with its (sd, rejection) pair, where building the
     canonical frame already settles the state."""
@@ -86,48 +63,50 @@ class _Deflated(Exception):
     dimension below N: _decompose decides rho on it."""
 
 
-def _canonical_with_fallbacks(rho: DensityMatrix):
-    """Canonical form with the A-swap and A-turn fallbacks.
-
-    Returns (cf, state_used, post) where ``post`` maps a decomposition of the
-    state actually canonicalized back to one of ``rho``.  Where tr_A rho is
-    singular, raises _Decided with rho's decomposition if its rank is one,
-    and _Deflated if it is higher.
-    """
-    try:
-        return twoxn.canonical_form(rho), rho, lambda sd: sd
-    except twoxn.SingularC:
-        pass
-    try:
-        return _turned(rho, np.array([[0, 1], [1, 0]], dtype=complex), lambda phis: phis[:, ::-1])
-    except twoxn.SingularC:
-        pass
-    reduced, iso = twoxn.deflate_b_support(rho)
-    if reduced.dim_b == 1:  # one term per eigenvector of sigma_A, each with psi = f
-        phis = twoxn.factor_psd(reduced.mat, rel_tol=densmat.RANK_TOL).T
-        raise _Decided(sep.SeparableDecomposition(
-            2, rho.dim_b, phis, np.repeat(iso.T, len(phis), axis=0)), None)
-    if reduced.dim_b == rho.dim_b:
-        # both diagonal blocks singular and tr_A rho of full rank
-        return _turned(rho, _TURN, lambda phis: phis @ _TURN)
-    raise _Deflated(reduced, iso)
+# the real orthogonal A bases that _frame tries in order
+_BASES = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.6, -0.8], [0.8, 0.6]]))
 
 
-def _frame(rho: DensityMatrix, timings: dict):
-    """(cf, used, post, ep): the frame of _canonical_with_fallbacks and its
-    completion data; _Decided where no frame exists or it settles rho."""
+def _frame(rho: DensityMatrix, timings: dict, first: int = 0):
+    """(cf, used, post, ep, i): the canonical frame cf of rho in the first A
+    basis u = _BASES[i], i >= first, whose lower block is nonsingular, with
+    ``used`` (rho in that basis), ``post`` (maps a decomposition of ``used``
+    back to one of rho, phis @ u) and ep (the completion data).  _Decided
+    where no basis is left or the PPT gap is marginal.
+
+    A deficient B support leaves every lower block singular, since
+    (A + C) g = 0 forces A g = C g = 0, so it is deflated once, after the
+    identity's block fails: _Deflated, or _Decided where its dimension is
+    one (rho = sigma_A (x) |f><f|, a pure product state among them)."""
     t0 = time.perf_counter()
     try:
-        cf, used, post = _canonical_with_fallbacks(rho)
-        return cf, used, post, twoxn.known_part(cf)
-    except twoxn.SingularC:
-        raise _Decided(None, (VERDICT_UNDECIDED,
-                              "no nonsingular local block to canonicalize against"))
+        for i, u in enumerate(_BASES[first:], first):
+            if i == 0:  # phis @ I is phis, save for the signs of its zeros
+                used, post = rho, lambda sd: sd
+            else:
+                big = np.kron(u, np.eye(rho.dim_b))
+                used = densmat.validate_density(big @ rho.mat @ big.T, 2, rho.dim_b, tol=rho.tol,
+                                                unnormalized=rho.unnormalized)
+                post = lambda sd, u=u: sep.SeparableDecomposition(2, rho.dim_b, sd.phis @ u, sd.psis)
+            try:
+                cf = twoxn.canonical_form(used)
+            except twoxn.SingularC:
+                if i == 0:
+                    reduced, iso = twoxn.deflate_b_support(rho)
+                    if reduced.dim_b == 1:  # one term per eigenvector of sigma_A, each psi = f
+                        phis = twoxn.factor_psd(reduced.mat, rel_tol=densmat.RANK_TOL).T
+                        raise _Decided(sep.SeparableDecomposition(
+                            2, rho.dim_b, phis, np.repeat(iso.T, len(phis), axis=0)), None)
+                    if reduced.dim_b < rho.dim_b:
+                        raise _Deflated(reduced, iso)
+                continue
+            return cf, used, post, twoxn.known_part(cf), i
     except twoxn.NotPPT:
         # PPT passed at tolerance but the canonical gap is numerically negative
         raise _Decided(None, (VERDICT_UNDECIDED, "PPT is marginal; canonical gap not factorable"))
     finally:
         timings["canonical"] = timings.get("canonical", 0.0) + time.perf_counter() - t0
+    raise _Decided(None, (VERDICT_UNDECIDED, "no nonsingular local block to canonicalize against"))
 
 
 def _product_vector_cone(rho: DensityMatrix, ranks):
@@ -181,16 +160,16 @@ def _product_subtraction(rho: DensityMatrix, ranks, cert_tol: float):
 
 def _decompose(rho: DensityMatrix, ranks, report: dict, timings: dict, cert_tol: float,
                budget: int = 12, seed: int = 0):
-    """The dispatch of a PPT 2xN state of rank > 1 on its rank pattern
-    ``ranks``: (sd, None) with a product decomposition of rho still to be
-    certified, or (None, (verdict, note)).  Writes ``report["solver"]``, the
-    family residuals and the canonical and extraction times."""
+    """The dispatch of a PPT 2xN state on its rank pattern ``ranks``:
+    (sd, None) with a product decomposition of rho still to be certified,
+    or (None, (verdict, note)).  Writes ``report["solver"]``, the family
+    residuals and the canonical and extraction times."""
     sol = rejection = None  # rejection: (verdict, note) reported when the solver accepts nothing
     search = None  # ((hits, isolated), fit) of _product_vector_cone, where it ran
     try:
         frame = None
         if ranks[0] == ranks[1]:  # the one pattern of the exact branches, which need the frame
-            cf, used, post, ep = frame = _frame(rho, timings)
+            cf, used, post, ep, i = frame = _frame(rho, timings)
             if ep.q == 0:
                 sol = twoxn.rank_n_test(cf)
                 rejection = (VERDICT_UNDECIDED, f"rank-N commutator residual "
@@ -200,17 +179,13 @@ def _decompose(rho: DensityMatrix, ranks, report: dict, timings: dict, cert_tol:
                     sol = twoxn.self_pt_extension(cf)
             if sol is None and (ep.p, ep.p_tilde) == (1, 1):
                 sol = twoxn.solve_extension_55(ep, accept_tol=cert_tol)
-                if sol.mixing.get("at_infinity"):  # in the turned A basis s is finite
-                    try:
-                        turned = _turned(used, _TURN, lambda phis: phis @ _TURN, post)
-                        sol = twoxn.solve_extension_55(twoxn.known_part(turned[0]),
-                                                       accept_tol=cert_tol)
-                        cf, used, post = turned
-                    except InputError:
-                        pass
+                if sol.mixing.get("at_infinity"):  # a term on this basis' |0>: retry in the next
+                    with contextlib.suppress(_Decided, InputError):
+                        cf, used, post, ep, i = _frame(rho, timings, i + 1)
+                        sol = twoxn.solve_extension_55(ep, accept_tol=cert_tol)
                 if sol.mixing.get("at_infinity"):
                     rejection = (VERDICT_UNDECIDED, "a scalar completion lies at s = infinity in "
-                                                    "both the canonical and the turned A basis")
+                                                    "every A basis tried")
                 elif cf.n == 4:
                     rejection = (VERDICT_RANGE, "no scalar normal completion exists; equivalent "
                                                 "to the range criterion for the (5,5) pattern")
@@ -248,7 +223,7 @@ def _decompose(rho: DensityMatrix, ranks, report: dict, timings: dict, cert_tol:
             if found is not None:
                 report["solver"] = found[1]
                 return found[0], None
-            cf, used, post, ep = frame or _frame(rho, timings)
+            cf, used, post, ep, _ = frame or _frame(rho, timings)
             if cf.n == 4 and (ep.p, ep.p_tilde) == (1, 2):
                 sol = twoxn.solve_extension_56(ep)
                 rejection = (VERDICT_UNDECIDED,
@@ -288,10 +263,12 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
     """Full separability analysis of a bipartite state; returns the report dict.
 
     The PPT test, then on 2xN the rank-pattern dispatch of _decompose
-    (exact paths, the product-vector fit, on 2x3 the product subtraction,
-    then the (5,6) grid or the descent), then one certificate of its
-    decomposition, re-verified against rho at ``cert_tol``.  ``budget`` and
-    ``seed`` are the starts and the seed of the multi-start descent."""
+    (the canonical frame and its exact paths, the product-vector fit, on
+    2x3 the product subtraction, then the (5,6) grid or the descent; a pure
+    product state is decided by the frame's deflation), then one
+    certificate of its decomposition, re-verified against rho at
+    ``cert_tol``.  ``budget`` and ``seed`` are the starts and the seed of
+    the multi-start descent."""
     timings = {}
     report = {
         "m": rho.dim_a,
@@ -329,14 +306,10 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
                       "decision procedures cover 2xN states; use ffcnm-verify "
                       "to check a candidate certificate")
 
-    if r == 1:
-        sd = _schmidt_product_decomposition(rho, tol)
-        rejection = (VERDICT_UNDECIDED, "rank-one state with Schmidt rank > 1 slipped the PPT gate")
-    else:
-        t0 = time.perf_counter()
-        sd, rejection = _decompose(rho, (r, rt), report, timings, cert_tol, budget, seed)
-        timings["solver"] = (time.perf_counter() - t0 - timings.get("canonical", 0.0)
-                             - timings.get("extract", 0.0))
+    t0 = time.perf_counter()
+    sd, rejection = _decompose(rho, (r, rt), report, timings, cert_tol, budget, seed)
+    timings["solver"] = (time.perf_counter() - t0 - timings.get("canonical", 0.0)
+                         - timings.get("extract", 0.0))
     if sd is None:
         return finish(*rejection)
 

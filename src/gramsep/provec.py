@@ -201,6 +201,8 @@ class ProductVectorSearch(NamedTuple):
     isolated: bool          # every product vector of rho's kind is among the hits
 
 
+_HIT_TOL = 1e-8  # every kernel row of a hit's stack annihilates its f to this
+
 # Below this, a margin of the search (det S's peak coefficient over its scale,
 # a rejected candidate's residual, the second-smallest singular value of a
 # hit's stack) leaves it open whether a hit was lost to rounding; above it,
@@ -208,7 +210,7 @@ class ProductVectorSearch(NamedTuple):
 _ISOLATION_MARGIN = 1e-3
 
 
-def search_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> ProductVectorSearch:
+def search_product_vectors(rho: DensityMatrix) -> ProductVectorSearch:
     """Product vectors |e, f> in the range of rho with |e*, f> in the PT range,
     and whether the search provably found all of them.
 
@@ -222,25 +224,25 @@ def search_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> ProductVect
     The seeds contain every product vector of rho's kind in exact
     arithmetic, but rounding can lose one: two A vectors nearly coinciding
     make det S nearly vanish, scatter the pencil's eigenvalues, or leave a
-    hit polished just short of ``tol``.  ``isolated`` is set where none of
+    hit polished just short of _HIT_TOL.  ``isolated`` is set where none of
     this can have happened: det S's largest coefficient over its rows'
     scales exceeds _ISOLATION_MARGIN (in both cases; a fallback to the
     first determinant and its conjugate counts as 0), no candidate's
-    residual lies between ``tol`` and that margin, and every hit's f is the
+    residual lies between _HIT_TOL and that margin, and every hit's f is the
     only null direction of its stack by more than that margin.  Only then is
     the hit list complete.
     """
     if rho.dim_a != 2:
         raise InputError(f"product-vector search needs dim_a = 2, got {rho.dim_a}")
-    hits = _search(_row_blocks(rho), tol)
+    hits = _search(_row_blocks(rho), _HIT_TOL)
     return ProductVectorSearch(list(hits), bool(hits.margin > _ISOLATION_MARGIN))
 
 
-def find_product_vectors(rho: DensityMatrix, tol: float = 1e-8) -> list[ProductVectorHit]:
+def find_product_vectors(rho: DensityMatrix) -> list[ProductVectorHit]:
     """The hits of search_product_vectors: product vectors |e, f> in the
     range of rho with |e*, f> in the PT range.  Complete only where that
     search is isolated."""
-    return search_product_vectors(rho, tol).hits
+    return search_product_vectors(rho).hits
 
 
 _PT_ROW_WEIGHTS_SEED = 1997
@@ -266,8 +268,7 @@ def _pt_row_weights(d: int, kp: int) -> np.ndarray:
 def _search(blocks, tol):
     """Candidates for the kernel dimensions of ``blocks`` (_candidates),
     validated, deduped and held to their degree bound.  The hits' margin is
-    the least of the candidates' and the validation's; a plain list from
-    either (no margin stated) makes it 0."""
+    the lesser of the candidates' and the validation's."""
     psi0, psi1, phi0, phi1 = blocks
     (k, n), kp = psi0.shape, phi0.shape[0]
 
@@ -281,7 +282,7 @@ def _search(blocks, tol):
 
     candidates = _candidates(blocks, k, kp)
     checked = _validate_candidates(blocks, candidates, tol)
-    margin = min(getattr(candidates, "margin", 0.0), getattr(checked, "margin", 0.0))
+    margin = min(candidates.margin, checked.margin)
     # collapse duplicates after validation
     unique = []
     for h in _sorted_hits(checked):
@@ -544,7 +545,7 @@ class EdgeVerdict(NamedTuple):
     hits: tuple
 
 
-def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
+def edge_state_test(rho: DensityMatrix) -> EdgeVerdict:
     """Edge iff no product vector sits in the range with its conjugate partner
     in the PT range.  Only meaningful for PPT states.
 
@@ -558,9 +559,9 @@ def edge_state_test(rho: DensityMatrix, tol: float = 1e-8) -> EdgeVerdict:
     if not ppt:
         raise InputError(f"edge test needs a PPT state (min PT eigenvalue {min_eig:.3e})")
     try:
-        hits, isolated = search_product_vectors(rho, tol=tol)
+        hits, isolated = search_product_vectors(rho)
     except DegenerateSystem:
-        hit = _find_any_hit(rho, tol)
+        hit = _find_any_hit(rho, _HIT_TOL)
         if hit is not None:
             return EdgeVerdict("not_edge", hit, (hit,))
         return EdgeVerdict("unknown", None, ())

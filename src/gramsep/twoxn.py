@@ -37,6 +37,7 @@ from . import densmat, gram, sep
 from .densmat import DensityMatrix, InputError, NotPSD
 
 _SING_TOL = 1e-12  # C counts as singular below this times its largest eigenvalue
+_EXACT_TOL = 1e-9  # rank_n_test's bound on [B, B^dag], self_pt_extension's on B - B^dag
 
 
 class SingularC(InputError):
@@ -203,21 +204,21 @@ def assemble(bmat: np.ndarray, r: np.ndarray, t: np.ndarray, s: np.ndarray) -> n
     return m
 
 
-def rank_n_test(cf: CanonicalForm2xN, tol: float = 1e-9) -> ExtensionSolution:
+def rank_n_test(cf: CanonicalForm2xN) -> ExtensionSolution:
     """For rank-N states the completion is B itself; separability reduces to
     [B, B^dag] = 0.  Returns B as the completion, accepted where its relative
-    commutator residual is at most ``tol``."""
+    commutator residual is at most _EXACT_TOL."""
     if cf.p != 0:
         raise RankMismatch(f"state has rank N + {cf.p}, not N")
     res, t = sep.normality_residual(cf.b), np.zeros((0, cf.n), dtype=complex)
-    return ExtensionSolution(cf.b.copy(), t[:, :0], t.T, t, res, res, res <= tol, "rank_n", {})
+    return ExtensionSolution(cf.b.copy(), t[:, :0], t.T, t, res, res, res <= _EXACT_TOL, "rank_n", {})
 
 
-def self_pt_extension(cf: CanonicalForm2xN, tol: float = 1e-9) -> ExtensionSolution:
-    """For rho = rho^{T_A} (Hermitian B), S = 0 completes [[B, Lam], [Lam^dag, 0]]
-    to a Hermitian, hence normal, matrix."""
+def self_pt_extension(cf: CanonicalForm2xN) -> ExtensionSolution:
+    """For rho = rho^{T_A} (B Hermitian to _EXACT_TOL), S = 0 completes
+    [[B, Lam], [Lam^dag, 0]] to a Hermitian, hence normal, matrix."""
     dev = densmat.hermitian_deviation(cf.b)
-    if dev > tol:
+    if dev > _EXACT_TOL:
         raise NotSelfPT(f"B deviates from Hermitian by {dev:.3e}")
     ep = known_part(cf)
     r, t, s = ep.lam, ep.lam.conj().T, np.zeros((ep.p, ep.p), dtype=complex)

@@ -67,12 +67,18 @@ def test_analyze_horodecki_range_verdict(tmp_path, capsys):
 
 
 def test_analyze_pure_product(tmp_path, capsys):
-    rho, _ = states.random_separable(2, 4, 1, seed=8)
-    path = write_state(tmp_path, "p.json", rho)
-    code, out, _ = run_cli(capsys, "analyze", path)
-    rep = json.loads(out)
-    assert rep["verdict"] == "separable_certified"
-    assert rep["terms"] == 1
+    """A pure product state |e, f> has a singular lower block, and tr_A rho
+    = |f><f| deflates to one dimension: the frame decides it with one term
+    and no solver."""
+    for n in range(2, 7):
+        rho, _ = states.random_separable(2, n, 1, seed=8)
+        path = write_state(tmp_path, f"p{n}.json", rho)
+        code, out, _ = run_cli(capsys, "analyze", path)
+        assert code == 0
+        rep = json.loads(out)
+        assert (rep["verdict"], rep["terms"], rep["solver"]) == ("separable_certified", 1, None), n
+        cert = sep.certificate_from_json_dict(rep["certificate"])
+        assert sep.verify_certificate(cert, rho, tol=1e-12).passed, n
 
 
 def test_analyze_singular_block_fallbacks():
@@ -87,15 +93,31 @@ def test_analyze_singular_block_fallbacks():
     assert rep["residuals"]["certificate"] < 1e-10
 
     # B side supported on a 2-dim subspace of C^3: deflate, solve, lift back
+    rep = cli.analyze_state(_b_deficient_2x3())
+    assert rep["verdict"] == "separable_certified"
+    assert rep["residuals"]["certificate"] < 1e-10
+
+
+def _b_deficient_2x3():
+    """Three product terms whose B vectors span a 2-dim subspace of C^3."""
     rng = np.random.default_rng(3)
     phis = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
     psis2 = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
     iso = np.linalg.qr(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))[0]
     sd = sep.SeparableDecomposition(2, 3, phis, psis2 @ iso.T)
-    rho = densmat.validate_density(sd.density() / np.trace(sd.density()).real, 2, 3)
-    rep = cli.analyze_state(rho)
+    return densmat.validate_density(sd.density() / np.trace(sd.density()).real, 2, 3)
+
+
+def test_deficient_b_support_is_deflated_after_one_frame(monkeypatch):
+    """A deficient B support leaves every lower block singular, so the
+    frame deflates it after the identity's block fails: canonical_form runs
+    once on the full state, and no other A basis is tried on it."""
+    calls = []
+    real = twoxn.canonical_form
+    monkeypatch.setattr(twoxn, "canonical_form", lambda rho: calls.append(rho.dim_b) or real(rho))
+    rep = cli.analyze_state(_b_deficient_2x3())
     assert rep["verdict"] == "separable_certified"
-    assert rep["residuals"]["certificate"] < 1e-10
+    assert calls[0] == 3 and calls.count(3) == 1 and set(calls[1:]) <= {2}
 
 
 def test_analyze_canonicalizes_with_both_diagonal_blocks_singular():
@@ -153,28 +175,29 @@ def test_scalar_completion_decides_every_n():
 
 def test_scalar_completion_at_infinity_is_solved_in_a_turned_basis():
     """A separable (N+1)-term state with a product term on A-side |0> needs
-    s = infinity in its canonical frame; a turned A basis makes s finite.
-    Reading that as no completion would claim entangled_range on 2x4.  A
-    second term on the vector that the turn sends to |0> puts s at infinity
-    in both frames: that state must stay undecided."""
-    def state(n, phi1=None):
+    s = infinity in its canonical frame; the next A basis, the swap, makes s
+    finite.  Reading that as no completion would claim entangled_range on
+    2x4.  A second term on (0.6, -0.8), which the fixed turn sends to |0>,
+    keeps s finite in the swap.  Terms on (1, 0), (0, 1) and (0.6, -0.8) put
+    s at infinity in every A basis: that state must stay undecided."""
+    def state(n, *fixed):
         rng = np.random.default_rng(n)
         phis = rng.normal(size=(n + 1, 2)) + 1j * rng.normal(size=(n + 1, 2))
-        phis[0] = (1, 0)
-        if phi1 is not None:
-            phis[1] = phi1
+        phis[:len(fixed)] = fixed
         psis = rng.normal(size=(n + 1, n)) + 1j * rng.normal(size=(n + 1, n))
         mat = sep.SeparableDecomposition(2, n, phis, psis).density()
         return densmat.validate_density(mat / np.trace(mat).real, 2, n)
 
     for n in (3, 4, 5):
-        rho = state(n)
-        ep = twoxn.known_part(twoxn.canonical_form(rho))
-        assert twoxn.solve_extension_55(ep).mixing == {"at_infinity": True}
-        rep = cli.analyze_state(rho)
-        assert rep["verdict"] == "separable_certified"
-        assert rep["solver"]["method"] == "rank1_linear" and rep["solver"]["accepted"]
-    rep = cli.analyze_state(state(4, phi1=(0.6, -0.8)))
+        for fixed in (((1, 0),), ((1, 0), (0.6, -0.8))):
+            rho = state(n, *fixed)
+            ep = twoxn.known_part(twoxn.canonical_form(rho))
+            assert twoxn.solve_extension_55(ep).mixing == {"at_infinity": True}
+            rep = cli.analyze_state(rho)
+            assert rep["verdict"] == "separable_certified", (n, fixed)
+            assert rep["solver"]["method"] == "rank1_linear" and rep["solver"]["accepted"]
+    rep = cli.analyze_state(state(4, (1, 0), (0, 1), (0.6, -0.8)))
+    assert rep["case"] == "(5,5)"
     assert rep["verdict"] == "ppt_undecided" and rep["solver"]["at_infinity"]
 
 
@@ -590,8 +613,8 @@ def test_tol_covers_hermiticity_of_analyze_and_provec(tmp_path, capsys):
 
 
 def test_canonical_fallbacks_revalidate_at_state_tol():
-    # the A-swap (2x2) and the B-support deflation (2x3, after the swap)
-    # rebuild states that carry the input's Hermitian deviation of 1e-7
+    # the A-swap (2x2) and the B-support deflation (2x3, after the identity
+    # frame) rebuild states that carry the input's Hermitian deviation of 1e-7
     for n, diag in ((2, [0.25, 0.25, 0.5, 0.0]), (3, [0.2, 0.3, 0.0, 0.5, 0.0, 0.0])):
         mat = np.diag(diag).astype(complex)
         mat[0, 1] += 5e-8

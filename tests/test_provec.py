@@ -304,11 +304,17 @@ def test_determinant_equation_57_recovers_plant():
 
 
 def accept_finite(blocks, candidates, tol):
-    """A validator that accepts every finite candidate as a hit."""
+    """A validator that accepts every finite candidate as a hit, at margin 0."""
     n = blocks[0].shape[1]
-    return [ProductVectorHit(complex(a), False, np.array([1.0, a]) / np.sqrt(1 + abs(a) ** 2),
-                             np.eye(n)[0], 0.0, 0.0)
-            for a, at_inf in candidates if not at_inf]
+    return provec._Margined([ProductVectorHit(complex(a), False,
+                                              np.array([1.0, a]) / np.sqrt(1 + abs(a) ** 2),
+                                              np.eye(n)[0], 0.0, 0.0)
+                             for a, at_inf in candidates if not at_inf], 0.0)
+
+
+def finite_candidates(roots):
+    """A stand-in for provec._candidates: ``roots`` and alpha = infinity, at margin 0."""
+    return lambda blocks, k, kp: provec._Margined([(a, False) for a in roots] + [(0j, True)], 0.0)
 
 
 def test_determinant_equation_57_raises_above_bound(monkeypatch):
@@ -317,8 +323,7 @@ def test_determinant_equation_57_raises_above_bound(monkeypatch):
     dm, _ = fixtures.rank57_state(0)
     roots = [complex(0.1 * j, 0.05) for j in range(11)]
 
-    monkeypatch.setattr(provec, "_candidates",
-                        lambda blocks, k, kp: [(a, False) for a in roots] + [(0j, True)])
+    monkeypatch.setattr(provec, "_candidates", finite_candidates(roots))
     monkeypatch.setattr(provec, "_validate_candidates", accept_finite)
     with pytest.raises(DegenerateSystem):
         determinant_equation_57(dm)
@@ -335,7 +340,7 @@ def _dedupe(values, tol=1e-6):
 def grid_reference_candidates(blocks, k, kp):
     """The determinant case's former seeding, kept as a reference: a real
     2x2 Newton on D(alpha, conj alpha) from each point of a 32x32 grid on
-    [-10, 10]^2."""
+    [-10, 10]^2, at margin 0."""
     coeffs = provec._det_bipoly(*blocks, k, kp)
 
     def dval(al):
@@ -372,7 +377,7 @@ def grid_reference_candidates(blocks, k, kp):
         bound = 1e-9 * max(1.0, np.abs(coeffs).max() * max(1.0, abs(al)) ** (k + kp + 2))
         if ok and abs(dval(al)) <= bound:
             roots.append(al)
-    return [(a, False) for a in _dedupe(roots)] + [(0j, True)]
+    return provec._Margined([(a, False) for a in _dedupe(roots)] + [(0j, True)], 0.0)
 
 
 def reference_alphas(monkeypatch, search, dm):
@@ -599,8 +604,7 @@ def test_elimination_case_raises_above_bound(monkeypatch):
     monkeypatch.setattr(provec, "_validate_candidates", accept_finite)
     for count, raises in ((6, False), (7, True)):
         roots = [complex(0.1 * j, 0.05) for j in range(count)]
-        monkeypatch.setattr(provec, "_candidates",
-                            lambda blocks, k, kp: [(a, False) for a in roots] + [(0j, True)])
+        monkeypatch.setattr(provec, "_candidates", finite_candidates(roots))
         if raises:
             with pytest.raises(DegenerateSystem):
                 find_product_vectors(rho)
