@@ -9,14 +9,14 @@ The canonical frame [[A, B], [B^dag, I]] is built first only for r = r',
 the one rank pattern of the exact rank-N, self-transpose and (N+1, N+1)
 paths, in the first A basis of one ordered list (identity, swap, a fixed
 turn) whose lower block is nonsingular; the (N+1, N+1) path retries a
-completion at s = infinity in the next one.  Next, a PPT 2xN state on which
-the product-vector search of rho itself can be complete (kernel dims
-k + k' >= N, 0 < k < N) is decomposed over its hits (``solver.method``
-"product_vector_cone").  A fit over them certifies a separable state.
-Where the search is isolated (no hit can have been lost to rounding), every
-term of a product decomposition is a hit, so no hit, or independent hit
-projectors that do not fit rho, rule one out: ``ppt_undecided`` without a
-solver.
+completion at s = infinity in each basis left, until s is finite.  Next, a
+PPT 2xN state on which the product-vector search of rho itself can be
+complete (kernel dims k + k' >= N, 0 < k < N) is decomposed over its hits
+(``solver.method`` "product_vector_cone").  A fit over them certifies a
+separable state.  Where the search is isolated (no hit can have been lost
+to rounding), every term of a product decomposition is a hit, so no hit, or
+independent hit projectors that do not fit rho, rule one out:
+``ppt_undecided`` without a solver.
 
 A PPT 2x3 state with k + k' < 3 has product projectors subtracted from rho
 down to a remainder of k + k' = 3 or 4, which the same fit decomposes
@@ -179,10 +179,13 @@ def _decompose(rho: DensityMatrix, ranks, report: dict, timings: dict, cert_tol:
                     sol = twoxn.self_pt_extension(cf)
             if sol is None and (ep.p, ep.p_tilde) == (1, 1):
                 sol = twoxn.solve_extension_55(ep, accept_tol=cert_tol)
-                if sol.mixing.get("at_infinity"):  # a term on this basis' |0>: retry in the next
-                    with contextlib.suppress(_Decided, InputError):
+                # a term on this basis' |0>: retry in each basis left, until one makes s finite
+                while sol.mixing.get("at_infinity") and i + 1 < len(_BASES):
+                    try:
                         cf, used, post, ep, i = _frame(rho, timings, i + 1)
-                        sol = twoxn.solve_extension_55(ep, accept_tol=cert_tol)
+                    except (_Decided, InputError):
+                        break
+                    sol = twoxn.solve_extension_55(ep, accept_tol=cert_tol)
                 if sol.mixing.get("at_infinity"):
                     rejection = (VERDICT_UNDECIDED, "a scalar completion lies at s = infinity in "
                                                     "every A basis tried")
@@ -284,11 +287,8 @@ def analyze_state(rho: DensityMatrix, tol: float = densmat.DEFAULT_TOL,
     r, rt = densmat.rank_pattern(rho)
     ppt, min_eig = densmat.is_ppt(rho, tol)
     timings["spectral"] = time.perf_counter() - t0
-    report["rank"] = r
-    report["rank_pt"] = rt
-    report["case"] = f"({r},{rt})"
-    report["ppt"] = bool(ppt)
-    report["ppt_min_eigenvalue"] = float(min_eig)
+    report.update(rank=r, rank_pt=rt, case=f"({r},{rt})", ppt=bool(ppt),
+                  ppt_min_eigenvalue=float(min_eig))
 
     def finish(verdict, note=None):
         report["verdict"] = verdict

@@ -178,8 +178,10 @@ def test_scalar_completion_at_infinity_is_solved_in_a_turned_basis():
     s = infinity in its canonical frame; the next A basis, the swap, makes s
     finite.  Reading that as no completion would claim entangled_range on
     2x4.  A second term on (0.6, -0.8), which the fixed turn sends to |0>,
-    keeps s finite in the swap.  Terms on (1, 0), (0, 1) and (0.6, -0.8) put
-    s at infinity in every A basis: that state must stay undecided."""
+    keeps s finite in the swap.  With terms on (1, 0) and (0, 1) s is at
+    infinity in the swap as well, and the turn makes it finite.  Terms on
+    (1, 0), (0, 1) and (0.6, -0.8) put s at infinity in every A basis: that
+    state must stay undecided."""
     def state(n, *fixed):
         rng = np.random.default_rng(n)
         phis = rng.normal(size=(n + 1, 2)) + 1j * rng.normal(size=(n + 1, 2))
@@ -189,16 +191,17 @@ def test_scalar_completion_at_infinity_is_solved_in_a_turned_basis():
         return densmat.validate_density(mat / np.trace(mat).real, 2, n)
 
     for n in (3, 4, 5):
-        for fixed in (((1, 0),), ((1, 0), (0.6, -0.8))):
+        for fixed in (((1, 0),), ((1, 0), (0.6, -0.8)), ((1, 0), (0, 1))):
             rho = state(n, *fixed)
             ep = twoxn.known_part(twoxn.canonical_form(rho))
             assert twoxn.solve_extension_55(ep).mixing == {"at_infinity": True}
             rep = cli.analyze_state(rho)
             assert rep["verdict"] == "separable_certified", (n, fixed)
             assert rep["solver"]["method"] == "rank1_linear" and rep["solver"]["accepted"]
-    rep = cli.analyze_state(state(4, (1, 0), (0, 1), (0.6, -0.8)))
-    assert rep["case"] == "(5,5)"
-    assert rep["verdict"] == "ppt_undecided" and rep["solver"]["at_infinity"]
+    for n in (3, 4, 5):
+        rep = cli.analyze_state(state(n, (1, 0), (0, 1), (0.6, -0.8)))
+        assert rep["case"] == "({0},{0})".format(n + 1)
+        assert rep["verdict"] == "ppt_undecided" and rep["solver"]["at_infinity"], n
 
 
 def test_analyze_byte_identical(tmp_path, capsys):
